@@ -1,10 +1,4 @@
-"""Hot inner loops with a numba fast path and a pure-numpy fallback.
-
-The jitted path is used when numba imports cleanly; setting the
-environment variable ``SRSKIT_NO_NUMBA=1`` before import forces the
-numpy implementations instead.  Both variants of every kernel stay
-importable so they can be benchmarked and cross-checked against each
-other (see benchmarks/bench_kernels.py).
+"""Numpy inner loops: exclusion argmax, Lloyd, pairwise distances.
 
 Kernels here are the sequential loops that numpy cannot vectorize:
 the exclusion argmax of without-replacement spatial sampling and the
@@ -14,33 +8,16 @@ updates) stay in numpy in their home modules.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("SRSKIT_NO_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _env in {"1", "true", "yes", "on"}
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def decorator(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return decorator
+def sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m, n) squared Euclidean distances between rows of ``a`` and ``b``."""
+    diff = a[:, None, :] - b[None, :, :]
+    return np.einsum("mnd,mnd->mn", diff, diff)
 
 
-NUMBA_ENABLED = NUMBA_AVAILABLE and not NUMBA_DISABLED
-
-
-def pick_distinct_argmax_numpy(absq: np.ndarray) -> np.ndarray:
+def pick_distinct_argmax(absq: np.ndarray) -> np.ndarray:
     """Row-by-row argmax with exclusion of already-picked columns.
 
     ``absq`` is the (n, N2) matrix of absolute projections; row i picks
@@ -57,123 +34,27 @@ def pick_distinct_argmax_numpy(absq: np.ndarray) -> np.ndarray:
     return out
 
 
-@njit(cache=True)
-def _pick_distinct_argmax_jit(absq):
-    n, n2 = absq.shape
-    out = np.empty(n, dtype=np.int64)
-    taken = np.zeros(n2, dtype=np.bool_)
-    for i in range(n):
-        best = -1.0
-        arg = -1
-        for j in range(n2):
-            if not taken[j] and absq[i, j] > best:
-                best = absq[i, j]
-                arg = j
-        out[i] = arg
-        taken[arg] = True
-    return out
-
-
-def pick_distinct_argmax_numba(absq: np.ndarray) -> np.ndarray:
-    return _pick_distinct_argmax_jit(np.ascontiguousarray(absq))
-
-
-def lloyd_numpy(points: np.ndarray, centers: np.ndarray, max_iters: int):
+def lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
     """Lloyd iterations on row-vector points; stops when labels stabilize.
 
     Returns (centers, labels, inertia, iterations).  An emptied center
     keeps its previous position.
     """
-    n, d = points.shape
+    n = points.shape[0]
     k = centers.shape[0]
     centers = centers.copy()
     labels = np.full(n, -1, dtype=np.int64)
     it = 0
     for it in range(1, max_iters + 1):
-        diff = points[:, None, :] - centers[None, :, :]
-        dist = np.einsum("nkd,nkd->nk", diff, diff)
-        new_labels = np.argmin(dist, axis=1)
+        new_labels = np.argmin(sq_dists(points, centers), axis=1)
         for c in range(k):
             mask = new_labels == c
             if np.any(mask):
                 centers[c] = points[mask].mean(axis=0)
         if np.array_equal(new_labels, labels):
-            labels = new_labels
             break
         labels = new_labels
-    diff = points[:, None, :] - centers[None, :, :]
-    dist = np.einsum("nkd,nkd->nk", diff, diff)
+    dist = sq_dists(points, centers)
     labels = np.argmin(dist, axis=1)
     inertia = float(dist[np.arange(n), labels].sum())
     return centers, labels, inertia, it
-
-
-@njit(cache=True)
-def _lloyd_jit(points, centers, max_iters):
-    n, d = points.shape
-    k = centers.shape[0]
-    centers = centers.copy()
-    labels = np.full(n, -1, dtype=np.int64)
-    sums = np.zeros((k, d), dtype=np.float64)
-    counts = np.zeros(k, dtype=np.int64)
-    it = 0
-    for it in range(1, max_iters + 1):
-        changed = False
-        sums[:] = 0.0
-        counts[:] = 0
-        for p in range(n):
-            best = np.inf
-            arg = 0
-            for c in range(k):
-                dist = 0.0
-                for j in range(d):
-                    delta = points[p, j] - centers[c, j]
-                    dist += delta * delta
-                if dist < best:
-                    best = dist
-                    arg = c
-            if labels[p] != arg:
-                changed = True
-            labels[p] = arg
-            counts[arg] += 1
-            for j in range(d):
-                sums[arg, j] += points[p, j]
-        for c in range(k):
-            if counts[c] > 0:
-                for j in range(d):
-                    centers[c, j] = sums[c, j] / counts[c]
-        if not changed:
-            break
-    inertia = 0.0
-    for p in range(n):
-        best = np.inf
-        arg = 0
-        for c in range(k):
-            dist = 0.0
-            for j in range(d):
-                delta = points[p, j] - centers[c, j]
-                dist += delta * delta
-            if dist < best:
-                best = dist
-                arg = c
-        labels[p] = arg
-        inertia += best
-    return centers, labels, inertia, it
-
-
-def lloyd_numba(points: np.ndarray, centers: np.ndarray, max_iters: int):
-    out = _lloyd_jit(
-        np.ascontiguousarray(points), np.ascontiguousarray(centers), max_iters
-    )
-    centers, labels, inertia, it = out
-    return centers, labels, float(inertia), int(it)
-
-
-if NUMBA_ENABLED:
-    pick_distinct_argmax = pick_distinct_argmax_numba
-    lloyd = lloyd_numba
-    BACKEND = "numba"
-else:
-    pick_distinct_argmax = pick_distinct_argmax_numpy
-    lloyd = lloyd_numpy
-    BACKEND = "numpy"

@@ -15,12 +15,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadArcsError, BadBetaError, BadParamsError, ParseError
+from .errors import BadArcLengthsError, BadBetaError, BadParamsError, ParseError
 from .kmeans import balanced_centers_check, kmeans
-from .matrix import ClusterLabels, as_matrix, normalize_columns, numerical_rank
+from .matrix import (
+    ClusterLabels,
+    as_matrix,
+    check_unit_columns,
+    normalize_columns,
+    numerical_rank,
+)
 from .samplers import (
     SamplerSpec,
-    _check_unit_columns,
     ris,
     sample_columns,
     srs_with_replacement,
@@ -154,7 +159,7 @@ def estimate_region_areas(
     the lowest cluster id.  The returned fractions sum to 1.
     """
     X = as_matrix(X)
-    _check_unit_columns(X)
+    check_unit_columns(X)
     if T < 1:
         raise ValueError("T must be >= 1")
     if len(labels) != X.shape[1]:
@@ -363,7 +368,7 @@ def lemma3_bound(p: BoundParams) -> float:
     if p.tau1 is None or p.tau2 is None:
         raise BadParamsError("lemma3_bound needs tau1 and tau2")
     if p.tau1 <= 0 or p.tau2 <= 0 or p.tau1 + p.tau2 >= math.pi:
-        raise BadArcsError("need tau1, tau2 > 0 with tau1 + tau2 < pi")
+        raise BadArcLengthsError("need tau1, tau2 > 0 with tau1 + tau2 < pi")
     beta = _resolve_beta(p)
     return beta * p.m * 2.0 * math.pi / (math.pi - abs(p.tau2 - p.tau1))
 

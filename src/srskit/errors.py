@@ -72,9 +72,5 @@ class BadBetaError(SrskitError):
     """beta is below the admissible minimum for the requested bound."""
 
 
-class BadArcsError(SrskitError):
-    """Arc parameters are outside the range the bound is stated for."""
-
-
 class BadParamsError(SrskitError):
     """Bound parameters are incomplete or out of range."""

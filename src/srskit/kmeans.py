@@ -44,9 +44,7 @@ def assign_to_columns(centers: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Index of the nearest data column for each center (ties: lowest)."""
     centers = as_matrix(centers)
     D = as_matrix(D)
-    diff = centers.T[:, None, :] - D.T[None, :, :]
-    dist = np.einsum("knd,knd->kn", diff, diff)
-    return np.argmin(dist, axis=1)
+    return np.argmin(_kernels.sq_dists(centers.T, D.T), axis=1)
 
 
 def balanced_centers_check(

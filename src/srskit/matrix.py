@@ -13,11 +13,14 @@ import numpy as np
 
 from .errors import (
     EmptySketchError,
+    NotNormalizedError,
     ShapeError,
     ZeroColumnError,
 )
 
 DEFAULT_RANK_TOL = 1e-8
+
+NORM_TOL = 1e-6
 
 
 def as_matrix(values) -> np.ndarray:
@@ -91,6 +94,11 @@ class SketchResult:
         return self.indices.size
 
 
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """l2-norm of every column of ``X``."""
+    return np.sqrt(np.einsum("ij,ij->j", X, X))
+
+
 def normalize_columns(D: np.ndarray) -> np.ndarray:
     """Scale every column of ``D`` to unit l2-norm.
 
@@ -98,17 +106,27 @@ def normalize_columns(D: np.ndarray) -> np.ndarray:
     zero; near-zero but nonzero columns are normalized as usual.
     """
     D = as_matrix(D)
-    norms = np.sqrt(np.einsum("ij,ij->j", D, D))
+    norms = column_norms(D)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroColumnError(int(zero[0]))
     return D / norms
 
 
-def column_norms_ok(X: np.ndarray, tol: float = 1e-6) -> bool:
+def column_norms_ok(X: np.ndarray, tol: float = NORM_TOL) -> bool:
     """True when every column norm is within ``tol`` of 1."""
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    return bool(np.all(np.abs(norms - 1.0) <= tol))
+    return bool(np.all(np.abs(column_norms(X) - 1.0) <= tol))
+
+
+def check_unit_columns(X: np.ndarray) -> None:
+    """Raise NotNormalizedError when a column norm is off 1 by > NORM_TOL."""
+    norms = column_norms(X)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+    if bad.size:
+        j = int(bad[0])
+        raise NotNormalizedError(
+            f"column {j} has norm {norms[j]:.6g}; call normalize_columns first"
+        )
 
 
 def numerical_rank(D: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:

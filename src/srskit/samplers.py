@@ -20,17 +20,31 @@ import numpy as np
 
 from ._kernels import pick_distinct_argmax
 from .errors import (
-    NotNormalizedError,
     RankDeficientKError,
     ShapeError,
     TooManySamplesError,
     ZeroMatrixError,
 )
-from .matrix import SketchResult, as_matrix, numerical_rank
+from .matrix import SketchResult, as_matrix, check_unit_columns, numerical_rank
 
-METHODS = ("srs", "srs_repl", "ris", "ris_repl", "norm", "leverage", "volume")
+# method name -> sampler run by sample_columns.  The lambdas look the
+# sampler up by name at call time, so a rebinding of a module attribute
+# (a test double, a tracer) is honoured.
+_SAMPLERS = {
+    "srs": lambda M, spec, rng: srs_without_replacement(M, spec.n, rng),
+    "srs_repl": lambda M, spec, rng: srs_with_replacement(M, spec.n, rng),
+    "ris": lambda M, spec, rng: ris(M, spec.n, False, rng),
+    "ris_repl": lambda M, spec, rng: ris(M, spec.n, True, rng),
+    "norm": lambda M, spec, rng: norm_sampling(
+        M, spec.n, rng, squared=spec.norm_squared
+    ),
+    "leverage": lambda M, spec, rng: leverage_sampling(
+        M, spec.n, rng, k=spec.leverage_k
+    ),
+    "volume": lambda M, spec, rng: volume_sampling(M, spec.n, rng),
+}
 
-NORM_TOL = 1e-6
+METHODS = tuple(_SAMPLERS)
 
 # rows of Phi are processed in blocks of this size to bound the memory
 # of Q = Phi @ X during large with-replacement draws
@@ -69,16 +83,6 @@ def sample_gaussian_directions(n: int, N1: int, rng: np.random.Generator) -> np.
     return rng.standard_normal((n, N1))
 
 
-def _check_unit_columns(X: np.ndarray):
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
-    if bad.size:
-        j = int(bad[0])
-        raise NotNormalizedError(
-            f"column {j} has norm {norms[j]:.6g}; call normalize_columns first"
-        )
-
-
 def srs_select_indices(
     X: np.ndarray, phi: np.ndarray, with_replacement: bool = False
 ) -> np.ndarray:
@@ -94,7 +98,7 @@ def srs_select_indices(
         raise ShapeError(
             f"phi has {phi.shape[1]} columns, data has {X.shape[0]} rows"
         )
-    _check_unit_columns(X)
+    check_unit_columns(X)
     n = phi.shape[0]
     if with_replacement:
         out = np.empty(n, dtype=np.int64)
@@ -293,20 +297,7 @@ def sample_columns(
         if spec.seed is None:
             raise ValueError("either rng or spec.seed is required")
         rng = np.random.default_rng(spec.seed)
-    if spec.method == "srs":
-        result = srs_without_replacement(M, spec.n, rng)
-    elif spec.method == "srs_repl":
-        result = srs_with_replacement(M, spec.n, rng)
-    elif spec.method == "ris":
-        result = ris(M, spec.n, False, rng)
-    elif spec.method == "ris_repl":
-        result = ris(M, spec.n, True, rng)
-    elif spec.method == "norm":
-        result = norm_sampling(M, spec.n, rng, squared=spec.norm_squared)
-    elif spec.method == "leverage":
-        result = leverage_sampling(M, spec.n, rng, k=spec.leverage_k)
-    else:
-        result = volume_sampling(M, spec.n, rng)
+    result = _SAMPLERS[spec.method](M, spec, rng)
     if spec.seed is not None:
         result = dataclasses.replace(result, seed=spec.seed)
     return result

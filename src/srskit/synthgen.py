@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArcOverlapError, BadArcLengthsError, BadDimsError
-from .matrix import ClusterLabels
+from .matrix import ClusterLabels, column_norms
 
 TWO_PI = 2.0 * math.pi
 
@@ -144,7 +144,7 @@ def gen_union_subspaces(
     for d, pop in zip(spec.dims, spec.populations):
         basis, _ = np.linalg.qr(rng.standard_normal((spec.ambient, d)))
         g = rng.standard_normal((d, pop))
-        g /= np.sqrt(np.einsum("ij,ij->j", g, g))
+        g /= column_norms(g)
         blocks.append(basis @ g)
     D = np.hstack(blocks)
     labels = np.repeat(np.arange(len(spec.dims)), spec.populations)

@@ -5,7 +5,7 @@ import pytest
 
 from srskit import (
     ArcSpec,
-    BadArcsError,
+    BadArcLengthsError,
     BadBetaError,
     BadParamsError,
     BoundParams,
@@ -219,9 +219,9 @@ def test_lemma3_bound_equal_arcs():
 
 
 def test_lemma3_bound_bad_arcs():
-    with pytest.raises(BadArcsError):
+    with pytest.raises(BadArcLengthsError):
         lemma3_bound(BoundParams(m=5, delta=0.05, tau1=2.0, tau2=1.5))
-    with pytest.raises(BadArcsError):
+    with pytest.raises(BadArcLengthsError):
         lemma3_bound(BoundParams(m=5, delta=0.05, tau1=-1.0, tau2=0.5))
 
 

@@ -1,12 +1,64 @@
-"""Cross-checks between the jitted kernels and their numpy fallbacks."""
-
-import os
-import subprocess
-import sys
+"""The numpy kernels checked against plain-loop reference implementations."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from srskit import _kernels
+
+
+def oracle_pick_distinct_argmax(absq):
+    """Scan each row for the largest untaken entry; strict > keeps ties low."""
+    n, n2 = absq.shape
+    out = np.empty(n, dtype=np.int64)
+    taken = np.zeros(n2, dtype=bool)
+    for i in range(n):
+        best = -1.0
+        arg = -1
+        for j in range(n2):
+            if not taken[j] and absq[i, j] > best:
+                best = absq[i, j]
+                arg = j
+        out[i] = arg
+        taken[arg] = True
+    return out
+
+
+def oracle_lloyd(points, centers, max_iters):
+    """Lloyd with explicit per-point loops and running cluster sums."""
+    n, d = points.shape
+    k = centers.shape[0]
+    centers = centers.copy()
+    labels = np.full(n, -1, dtype=np.int64)
+
+    def nearest(p):
+        dists = [sum((points[p, j] - centers[c, j]) ** 2 for j in range(d))
+                 for c in range(k)]
+        arg = int(np.argmin(dists))
+        return arg, dists[arg]
+
+    it = 0
+    for it in range(1, max_iters + 1):
+        changed = False
+        sums = np.zeros((k, d))
+        counts = np.zeros(k, dtype=np.int64)
+        for p in range(n):
+            arg, _ = nearest(p)
+            changed |= labels[p] != arg
+            labels[p] = arg
+            counts[arg] += 1
+            sums[arg] += points[p]
+        for c in range(k):
+            if counts[c] > 0:
+                centers[c] = sums[c] / counts[c]
+        if not changed:
+            break
+    inertia = 0.0
+    for p in range(n):
+        labels[p], dist = nearest(p)
+        inertia += dist
+    return centers, labels, inertia, it
 
 
 def test_pick_distinct_argmax_backends_agree():
@@ -15,24 +67,36 @@ def test_pick_distinct_argmax_backends_agree():
         n2 = int(rng.integers(1, 40))
         n = int(rng.integers(1, n2 + 1))
         absq = np.abs(rng.standard_normal((n, n2)))
-        a = _kernels.pick_distinct_argmax_numpy(absq)
-        b = _kernels.pick_distinct_argmax_numba(absq)
+        a = _kernels.pick_distinct_argmax(absq)
+        b = oracle_pick_distinct_argmax(absq)
         assert (a == b).all()
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    n2 = draw(st.integers(1, 12))
+    n = draw(st.integers(1, n2))
+    values = arrays(np.int64, (n, n2), elements=st.integers(0, 3))
+    return draw(values).astype(np.float64)
+
+
+@settings(deadline=None)
+@given(tie_heavy_matrices())
+def test_pick_distinct_argmax_matches_oracle_on_ties(absq):
+    picked = _kernels.pick_distinct_argmax(absq)
+    assert (picked == oracle_pick_distinct_argmax(absq)).all()
+    assert np.unique(picked).size == picked.size
 
 
 def test_pick_distinct_argmax_tie_lowest_index():
     absq = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    for pick in (_kernels.pick_distinct_argmax_numpy,
-                 _kernels.pick_distinct_argmax_numba):
-        assert list(pick(absq)) == [0, 1]
+    assert list(_kernels.pick_distinct_argmax(absq)) == [0, 1]
 
 
 def test_pick_distinct_argmax_exclusion():
     # one dominant column; later rows must fall back to the runner-up
     absq = np.array([[9.0, 1.0, 2.0], [9.0, 1.0, 2.0], [9.0, 1.0, 2.0]])
-    for pick in (_kernels.pick_distinct_argmax_numpy,
-                 _kernels.pick_distinct_argmax_numba):
-        assert list(pick(absq)) == [0, 2, 1]
+    assert list(_kernels.pick_distinct_argmax(absq)) == [0, 2, 1]
 
 
 def test_lloyd_backends_agree():
@@ -43,17 +107,17 @@ def test_lloyd_backends_agree():
         rng.standard_normal((60, 3)) * 0.1 - 5.0,
     ])
     init = pts[[0, 50]].copy()
-    c_np, l_np, i_np, _ = _kernels.lloyd_numpy(pts, init, 50)
-    c_nb, l_nb, i_nb, _ = _kernels.lloyd_numba(pts, init, 50)
-    assert np.allclose(c_np, c_nb, atol=1e-10)
-    assert (l_np == l_nb).all()
-    assert abs(i_np - i_nb) < 1e-8 * (1.0 + abs(i_np))
+    c_np, l_np, i_np, _ = _kernels.lloyd(pts, init, 50)
+    c_or, l_or, i_or, _ = oracle_lloyd(pts, init, 50)
+    assert np.allclose(c_np, c_or, atol=1e-10)
+    assert (l_np == l_or).all()
+    assert abs(i_np - i_or) < 1e-8 * (1.0 + abs(i_np))
 
 
 def test_lloyd_k1_fixed_point():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((30, 4))
-    centers, labels, inertia, _ = _kernels.lloyd_numpy(pts, pts[:1].copy(), 50)
+    centers, labels, inertia, _ = _kernels.lloyd(pts, pts[:1].copy(), 50)
     assert np.allclose(centers[0], pts.mean(axis=0), atol=1e-12)
     assert (labels == 0).all()
     assert inertia > 0
@@ -62,22 +126,14 @@ def test_lloyd_k1_fixed_point():
 def test_lloyd_empty_cluster_keeps_center():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
     init = np.array([[0.1, 0.0], [50.0, 50.0]])
-    centers, labels, _, _ = _kernels.lloyd_numpy(pts, init, 10)
+    centers, labels, _, _ = _kernels.lloyd(pts, init, 10)
     assert (labels == 0).all()
     assert np.allclose(centers[1], [50.0, 50.0])
 
 
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, SRSKIT_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import srskit; print(srskit.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
-def test_default_backend_is_numba_when_available():
-    if _kernels.NUMBA_AVAILABLE and not _kernels.NUMBA_DISABLED:
-        assert _kernels.BACKEND == "numba"
-    else:
-        assert _kernels.BACKEND == "numpy"
+def test_sq_dists_matches_pairwise_norms():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((5, 4))
+    b = rng.standard_normal((7, 4))
+    want = [[np.sum((x - y) ** 2) for y in b] for x in a]
+    assert np.allclose(_kernels.sq_dists(a, b), want, rtol=1e-14, atol=0)
