@@ -15,10 +15,6 @@ from .errors import ParseError, ShapeError
 from .matrix import ClusterLabels, SketchResult, as_matrix
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _write_lines(path, lines, comment: str | None):
     with open(path, "w", newline="\n") as fh:
         if comment:
@@ -42,15 +38,38 @@ def _data_lines(path):
 def save_csv(D: np.ndarray, path, comment: str | None = None) -> None:
     """Write a matrix in the no-header CSV format."""
     D = as_matrix(D)
-    lines = (",".join(_format_float(x) for x in row) for row in D)
+    lines = (",".join(map(repr, row)) for row in D.tolist())
     _write_lines(path, lines, comment)
 
 
 def load_csv(path) -> np.ndarray:
     """Read a matrix CSV; raises ParseError/ShapeError on bad content."""
+    numbered = list(_data_lines(path))
+    if not numbered:
+        raise ParseError(1, "empty matrix file")
+    try:
+        D = np.loadtxt(
+            [text for _, text in numbered],
+            delimiter=",",
+            comments=None,
+            dtype=np.float64,
+            ndmin=2,
+        )
+    except ValueError:
+        # a ragged row or a field loadtxt cannot read: the line loop names
+        # the line, and also takes the fields only float() accepts (``1_0``)
+        return _parse_rows(numbered)
+    bad = np.flatnonzero(~np.isfinite(D).all(axis=1))
+    if bad.size:
+        raise ParseError(numbered[bad[0]][0], "non-finite value")
+    return D
+
+
+def _parse_rows(numbered) -> np.ndarray:
+    """Parse (line number, text) rows field by field with ``float``."""
     rows = []
     width = None
-    for lineno, text in _data_lines(path):
+    for lineno, text in numbered:
         fields = text.split(",")
         if width is None:
             width = len(fields)
@@ -65,8 +84,6 @@ def load_csv(path) -> np.ndarray:
         if not all(np.isfinite(row)):
             raise ParseError(lineno, "non-finite value")
         rows.append(row)
-    if not rows:
-        raise ParseError(1, "empty matrix file")
     return np.array(rows, dtype=np.float64)
 
 

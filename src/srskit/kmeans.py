@@ -44,7 +44,7 @@ def assign_to_columns(centers: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Index of the nearest data column for each center (ties: lowest)."""
     centers = as_matrix(centers)
     D = as_matrix(D)
-    return np.argmin(_kernels.sq_dists(centers.T, D.T), axis=1)
+    return _kernels.nearest(centers.T, D.T)
 
 
 def balanced_centers_check(

@@ -137,7 +137,14 @@ def numerical_rank(D: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     if rel_tol <= 0:
         raise ValueError("rel_tol must be > 0")
     D = as_matrix(D)
-    sv = np.linalg.svd(D, compute_uv=False)
+    return singular_value_rank(np.linalg.svd(D, compute_uv=False), rel_tol)
+
+
+def singular_value_rank(sv: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
+    """Rank from descending singular values: the count above ``rel_tol * sv[0]``.
+
+    Returns 0 when there are none or the largest is zero.
+    """
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > rel_tol * sv[0]))

@@ -25,7 +25,7 @@ from .errors import (
     TooManySamplesError,
     ZeroMatrixError,
 )
-from .matrix import SketchResult, as_matrix, check_unit_columns, numerical_rank
+from .matrix import SketchResult, as_matrix, check_unit_columns, singular_value_rank
 
 # method name -> sampler run by sample_columns.  The lambdas look the
 # sampler up by name at call time, so a rebinding of a module attribute
@@ -216,14 +216,14 @@ def leverage_probabilities(D: np.ndarray, k: int | None = None) -> np.ndarray:
     deficient matrix are numerical noise.
     """
     D = as_matrix(D)
-    rank = numerical_rank(D)
+    _, sv, vt = np.linalg.svd(D, full_matrices=False)
+    rank = singular_value_rank(sv)
     if k is None:
         k = min(rank, D.shape[0])
     if k < 1 or k > rank:
         raise RankDeficientKError(
             f"k={k} outside 1..numerical_rank={rank}"
         )
-    _, _, vt = np.linalg.svd(D, full_matrices=False)
     p = np.einsum("ij,ij->j", vt[:k], vt[:k]) / k
     return p / p.sum()
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from srskit import io
 from srskit import (
     ClusterLabels,
     ParseError,
@@ -45,8 +49,8 @@ def test_comment_lines_written_and_skipped(tmp_path):
 
 def test_ragged_rows_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1.0,2.0\n3.0\n")
-    with pytest.raises(ShapeError):
+    path.write_text("# head\n1.0,2.0\n\n3.0\n")
+    with pytest.raises(ShapeError, match="^line 4: "):
         load_csv(path)
 
 
@@ -61,8 +65,55 @@ def test_unparseable_field_reports_line(tmp_path):
 def test_non_finite_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1.0,nan\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert info.value.line == 1
+    path.write_text("# head\n\n1.0,2.0\n# mid\n\n3.0,-inf\n4.0,nan\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert info.value.line == 6
+
+
+def test_fields_only_float_accepts(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("1_0,2.5\n-1,\u0663\n")
+    assert load_csv(path).tolist() == [[10.0, 2.5], [-1.0, 3.0]]
+
+
+def test_all_comment_file_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("# only\n\n  # comments\n")
     with pytest.raises(ParseError):
         load_csv(path)
+
+
+@st.composite
+def decorated_csv(draw):
+    """A finite matrix and its repr CSV text, with comment lines, blank
+    lines, CRLF endings and leading spaces mixed in."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    D = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=False, allow_infinity=False)))
+    noise = st.sampled_from(["", "# c", "  # c,1.0", "   ", "\t"])
+    parts = []
+    for row in D.tolist():
+        parts += draw(st.lists(noise, max_size=2))
+        indent = " " * draw(st.integers(0, 2))
+        parts.append(indent + ",".join(map(repr, row)))
+    parts += draw(st.lists(noise, max_size=2))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(parts), max_size=len(parts)))
+    return D, "".join(p + e for p, e in zip(parts, endings))
+
+
+@settings(deadline=None)
+@given(decorated_csv())
+def test_load_csv_matches_line_loop(tmp_path_factory, case):
+    D, text = case
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes(text.encode())
+    got = load_csv(path)
+    oracle = io._parse_rows(io._data_lines(path))
+    assert got.shape == oracle.shape == D.shape
+    assert got.tobytes() == oracle.tobytes() == D.tobytes()
 
 
 def test_labels_round_trip(tmp_path):

@@ -131,9 +131,39 @@ def test_lloyd_empty_cluster_keeps_center():
     assert np.allclose(centers[1], [50.0, 50.0])
 
 
-def test_sq_dists_matches_pairwise_norms():
+def oracle_nearest(a, b):
+    """Argmin of every exact squared distance; argmin keeps ties low."""
+    return np.argmin(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+@st.composite
+def integer_rows_with_duplicates(draw):
+    # small integers keep every product and sum exact in float64, so ties
+    # are exact and frequent
+    d = draw(st.integers(1, 6))
+    a = draw(arrays(np.int64, (draw(st.integers(1, 8)), d), elements=st.integers(-3, 3)))
+    b = draw(arrays(np.int64, (draw(st.integers(1, 8)), d), elements=st.integers(-3, 3)))
+    copies = draw(st.lists(st.integers(0, b.shape[0] - 1), max_size=4))
+    b = np.vstack([b, b[copies]])
+    return a.astype(np.float64), b.astype(np.float64)
+
+
+@settings(deadline=None)
+@given(integer_rows_with_duplicates())
+def test_nearest_matches_oracle_on_ties(ab):
+    a, b = ab
+    assert (_kernels.nearest(a, b) == oracle_nearest(a, b)).all()
+
+
+def test_nearest_matches_oracle_random_with_duplicate_rows():
     rng = np.random.default_rng(3)
-    a = rng.standard_normal((5, 4))
-    b = rng.standard_normal((7, 4))
-    want = [[np.sum((x - y) ** 2) for y in b] for x in a]
-    assert np.allclose(_kernels.sq_dists(a, b), want, rtol=1e-14, atol=0)
+    # (150, 129, 65) is a size at which a plain GEMM argmin was seen to
+    # pick the later copy of a duplicated row
+    for m, n, d in [(5, 7, 4), (40, 9, 100), (150, 129, 65)]:
+        a = rng.standard_normal((m, d))
+        b = rng.standard_normal((n, d))
+        for dup in (b, b[::-1]):
+            bb = np.vstack([b, dup])  # ties must go to the first copy
+            got = _kernels.nearest(a, bb)
+            assert (got == oracle_nearest(a, bb)).all()
+            assert (got < n).all()
