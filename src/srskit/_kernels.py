@@ -3,7 +3,8 @@
 Kernels here are the inner loops of sampling and k-means: the exclusion
 argmax of without-replacement spatial sampling, the nearest-center search
 and the Lloyd iteration.  Other BLAS-bound steps (Q = Phi @ X, residual
-updates) stay in numpy in their home modules.
+updates) stay in numpy in their home modules; spatial selection hands the
+exclusion argmax one row block of |Phi . X| at a time.
 """
 
 from __future__ import annotations
@@ -38,19 +39,25 @@ def nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return cols[order[first]]
 
 
-def pick_distinct_argmax(absq: np.ndarray) -> np.ndarray:
+def pick_distinct_argmax(
+    absq: np.ndarray, taken: np.ndarray | None = None
+) -> np.ndarray:
     """Row-by-row argmax with exclusion of already-picked columns.
 
-    ``absq`` is the (n, N2) matrix of absolute projections; row i picks
-    the largest not-yet-chosen entry, ties to the lowest column index.
+    ``absq`` is an (n, N2) block of absolute projections; row i picks
+    the largest not-yet-taken entry, ties to the lowest column index.
+    ``taken`` is the (N2,) mask of columns picked before this block
+    (none when omitted); the block's picks are marked in it in place.
+    Only rows whose unrestricted argmax is already taken are searched
+    again with the taken columns masked out.
     """
-    n, n2 = absq.shape
-    out = np.empty(n, dtype=np.int64)
-    taken = np.zeros(n2, dtype=bool)
-    for i in range(n):
-        h = np.where(taken, -1.0, absq[i])
-        k = int(np.argmax(h))
-        out[i] = k
+    if taken is None:
+        taken = np.zeros(absq.shape[1], dtype=bool)
+    out = absq.argmax(axis=1)
+    for i, k in enumerate(out):
+        if taken[k]:
+            k = np.where(taken, -1.0, absq[i]).argmax()
+            out[i] = k
         taken[k] = True
     return out
 

@@ -26,6 +26,7 @@ from .matrix import (
 )
 from .samplers import (
     SamplerSpec,
+    abs_projection_blocks,
     ris,
     sample_columns,
     srs_with_replacement,
@@ -167,14 +168,13 @@ def estimate_region_areas(
     s = labels.n_clusters
     members = [np.flatnonzero(labels.values == i) for i in range(s)]
     counts = np.zeros(s, dtype=np.int64)
-    chunk = max(1, min(T, 8_000_000 // X.shape[1]))
-    done = 0
-    while done < T:
-        c = min(chunk, T - done)
-        A = np.abs(rng.standard_normal((c, X.shape[0])) @ X)
+    # directions are drawn block by block, in order, from rng
+    blocks = abs_projection_blocks(
+        X, T, lambda a, b: rng.standard_normal((b - a, X.shape[0]))
+    )
+    for _, _, A in blocks:
         scores = np.column_stack([A[:, idx].max(axis=1) for idx in members])
         counts += np.bincount(np.argmax(scores, axis=1), minlength=s)
-        done += c
     return counts / T
 
 

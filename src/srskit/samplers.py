@@ -46,9 +46,9 @@ _SAMPLERS = {
 
 METHODS = tuple(_SAMPLERS)
 
-# rows of Phi are processed in blocks of this size to bound the memory
-# of Q = Phi @ X during large with-replacement draws
-_CHUNK_ROWS = 2048
+# byte budget of one row block of |Phi . X|: the only large temporary of
+# spatial selection and of the region-area estimate
+_BLOCK_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,28 @@ def sample_gaussian_directions(n: int, N1: int, rng: np.random.Generator) -> np.
     return rng.standard_normal((n, N1))
 
 
+def abs_projection_blocks(X: np.ndarray, n: int, directions):
+    """Yield ``(start, stop, |phi[start:stop] @ X|)`` over row blocks of phi.
+
+    ``directions(start, stop)`` returns rows start..stop-1 of the n-row
+    direction matrix phi, so phi may be drawn block by block.  A block
+    holds at most ``_BLOCK_BYTES`` of float64 (but at least two rows), and
+    every block reuses one buffer: consume it before advancing.  A one-row
+    tail joins the block before it, because a one-row product runs as a
+    GEMV, which rounds differently from the same row of a GEMM.
+    """
+    n2 = X.shape[1]
+    rows = max(2, _BLOCK_BYTES // (8 * n2))
+    edges = list(range(0, n, rows))
+    if len(edges) > 1 and n - edges[-1] == 1:
+        edges.pop()
+    edges.append(n)
+    buf = np.empty((np.diff(edges).max(), n2))
+    for start, stop in zip(edges[:-1], edges[1:]):
+        q = np.matmul(directions(start, stop), X, out=buf[: stop - start])
+        yield start, stop, np.abs(q, out=q)
+
+
 def srs_select_indices(
     X: np.ndarray, phi: np.ndarray, with_replacement: bool = False
 ) -> np.ndarray:
@@ -90,7 +112,9 @@ def srs_select_indices(
 
     Row i of ``phi`` selects the column maximizing |phi_i . x_j|; ties go
     to the lowest column index.  Without replacement, columns picked by
-    earlier rows are excluded before taking the argmax.
+    earlier rows are excluded before taking the argmax.  |phi . X| is
+    streamed in row blocks, so at most one block of ``_BLOCK_BYTES`` is
+    held at a time, never the dense n x N2 matrix.
     """
     X = as_matrix(X)
     phi = as_matrix(phi)
@@ -100,19 +124,18 @@ def srs_select_indices(
         )
     check_unit_columns(X)
     n = phi.shape[0]
-    if with_replacement:
-        out = np.empty(n, dtype=np.int64)
-        for start in range(0, n, _CHUNK_ROWS):
-            block = phi[start : start + _CHUNK_ROWS]
-            out[start : start + block.shape[0]] = np.argmax(
-                np.abs(block @ X), axis=1
-            )
-        return out
-    if n > X.shape[1]:
+    if not with_replacement and n > X.shape[1]:
         raise TooManySamplesError(
             f"requested {n} distinct columns from {X.shape[1]}"
         )
-    return pick_distinct_argmax(np.abs(phi @ X))
+    out = np.empty(n, dtype=np.int64)
+    taken = np.zeros(X.shape[1], dtype=bool)
+    for start, stop, q in abs_projection_blocks(X, n, lambda a, b: phi[a:b]):
+        if with_replacement:
+            out[start:stop] = q.argmax(axis=1)
+        else:
+            out[start:stop] = pick_distinct_argmax(q, taken)
+    return out
 
 
 def _sketch(M, idx, method, with_replacement):
@@ -250,10 +273,14 @@ def volume_sampling(
     uniforms = rng.random(n)
     active = np.ones(n2, dtype=bool)
     chosen = np.empty(n, dtype=np.int64)
+    R = np.empty_like(D)
+    # a pass adds orthonormal vectors of R^N1; after N1 of them every
+    # residual is at rounding level, far below tol_sq, and the pass ends
+    basis = np.empty((N1, N1))
     t = 0
     while t < n:
-        R = D.copy()
-        basis = np.empty((N1, 0))
+        np.copyto(R, D)
+        m = 0
         fresh = True
         while t < n:
             res_sq = np.einsum("ij,ij->j", R, R)
@@ -271,10 +298,11 @@ def volume_sampling(
                 slot = np.searchsorted(cum, uniforms[t] * cum[-1], side="right")
                 j = int(pos[min(slot, pos.size - 1)])
                 b = R[:, j].copy()
-                if basis.shape[1]:
-                    b -= basis @ (basis.T @ b)
+                if m:
+                    b -= basis[:, :m] @ (basis[:, :m].T @ b)
                 b /= np.linalg.norm(b)
-                basis = np.column_stack([basis, b])
+                basis[:, m] = b
+                m += 1
                 R -= np.outer(b, b @ R)
             chosen[t] = j
             active[j] = False

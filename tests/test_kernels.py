@@ -88,6 +88,21 @@ def test_pick_distinct_argmax_matches_oracle_on_ties(absq):
     assert np.unique(picked).size == picked.size
 
 
+@settings(deadline=None)
+@given(tie_heavy_matrices(), st.data())
+def test_pick_distinct_argmax_blocks_share_taken(absq, data):
+    # row blocks handed in order with one taken mask pick what the whole
+    # matrix picks, and the mask ends up marking exactly those columns
+    cut = data.draw(st.integers(0, absq.shape[0]))
+    taken = np.zeros(absq.shape[1], dtype=bool)
+    picked = np.concatenate([
+        _kernels.pick_distinct_argmax(absq[:cut], taken),
+        _kernels.pick_distinct_argmax(absq[cut:], taken),
+    ])
+    assert (picked == oracle_pick_distinct_argmax(absq)).all()
+    assert (np.flatnonzero(taken) == np.sort(picked)).all()
+
+
 def test_pick_distinct_argmax_tie_lowest_index():
     absq = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
     assert list(_kernels.pick_distinct_argmax(absq)) == [0, 1]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from srskit import (
+    METHODS,
     NotNormalizedError,
     RankDeficientKError,
     SamplerSpec,
@@ -265,3 +268,55 @@ def test_sampler_spec_validation():
         SamplerSpec(method="srs", n=0)
     with pytest.raises(ValueError):
         SamplerSpec(method="srs", n=3, seed=-1)
+
+
+# ---------------------------------------------------------------------------
+# properties of every method
+
+WITH_REPLACEMENT = {
+    "srs": False, "srs_repl": True, "ris": False, "ris_repl": True,
+    "norm": True, "leverage": True, "volume": False,
+}
+
+
+@st.composite
+def unit_matrices(draw):
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return unit(rng.standard_normal((n1, n2)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(unit_matrices(), st.integers(0, 2**31 - 1), st.data())
+def test_every_method_properties(X, seed, data):
+    n2 = X.shape[1]
+    n = data.draw(st.integers(1, n2))
+    for method in METHODS:
+        spec = SamplerSpec(method=method, n=n, seed=seed)
+        r = sample_columns(X, spec)
+        again = sample_columns(X, spec)
+        assert (r.indices == again.indices).all()
+        assert r.indices.shape == (n,)
+        assert ((r.indices >= 0) & (r.indices < n2)).all()
+        assert (r.columns == X[:, r.indices]).all()
+        assert r.method == method
+        assert r.seed == seed
+        assert r.with_replacement == WITH_REPLACEMENT[method]
+        if not r.with_replacement:
+            assert np.unique(r.indices).size == n
+
+
+@settings(deadline=None, max_examples=20)
+@given(unit_matrices(), st.integers(0, 2**31 - 1))
+def test_every_method_sample_count_boundary(X, seed):
+    n2 = X.shape[1]
+    for method in METHODS:
+        r = sample_columns(X, SamplerSpec(method=method, n=n2, seed=seed))
+        assert r.indices.size == n2
+        over = SamplerSpec(method=method, n=n2 + 1, seed=seed)
+        if WITH_REPLACEMENT[method]:
+            assert sample_columns(X, over).indices.size == n2 + 1
+        else:
+            with pytest.raises(TooManySamplesError):
+                sample_columns(X, over)
