@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import exact_abs_dots, pick_argmax
 from .errors import BadArcLengthsError, BadBetaError, BadParamsError, ParseError
 from .kmeans import balanced_centers_check, kmeans
 from .matrix import (
@@ -156,8 +157,9 @@ def estimate_region_areas(
     """Monte-Carlo fractions of the sphere where each cluster dominates.
 
     Draws T random directions and assigns each to the cluster whose
-    columns reach the largest absolute inner product with it; ties go to
-    the lowest cluster id.  The returned fractions sum to 1.
+    columns reach the largest absolute inner product with it (the exact
+    score of ``srs_select_indices``); ties go to the lowest cluster id.
+    The returned fractions sum to 1.
     """
     X = as_matrix(X)
     check_unit_columns(X)
@@ -166,15 +168,18 @@ def estimate_region_areas(
     if len(labels) != X.shape[1]:
         raise ValueError("labels length must match column count")
     s = labels.n_clusters
-    members = [np.flatnonzero(labels.values == i) for i in range(s)]
+    # the screen sees the columns in cluster order, so the first of tied
+    # columns belongs to the lowest cluster id
+    order = np.argsort(labels.values, kind="stable")
+    owner = labels.values[order]
     counts = np.zeros(s, dtype=np.int64)
     # directions are drawn block by block, in order, from rng
     blocks = abs_projection_blocks(
-        X, T, lambda a, b: rng.standard_normal((b - a, X.shape[0]))
+        X[:, order], T, lambda a, b: rng.standard_normal((b - a, X.shape[0]))
     )
-    for _, _, A in blocks:
-        scores = np.column_stack([A[:, idx].max(axis=1) for idx in members])
-        counts += np.bincount(np.argmax(scores, axis=1), minlength=s)
+    for _, _, phi, A, tol in blocks:
+        pos = pick_argmax(A, tol, lambda r, c: exact_abs_dots(phi, X, r, order[c]))
+        counts += np.bincount(owner[pos], minlength=s)
     return counts / T
 
 

@@ -2,9 +2,11 @@
 
 The spatial samplers pick, for each random direction on the unit
 sphere, the unit-norm data column with the largest absolute inner
-product along that direction.  Baselines cover uniform index sampling,
-norm-proportional sampling, leverage-score sampling, and adaptive
-residual (volume) sampling.
+product along that direction.  That product is summed in float64 in a
+fixed order, so a pick depends on the data and the directions alone; a
+fast screen of |Phi . X| decides which columns need the exact sum.
+Baselines cover uniform index sampling, norm-proportional sampling,
+leverage-score sampling, and adaptive residual (volume) sampling.
 
 All samplers are pure given an explicit ``numpy.random.Generator``.
 Callers running parallel trials should derive one generator per trial
@@ -15,17 +17,24 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from ._kernels import pick_distinct_argmax
+from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax
 from .errors import (
     RankDeficientKError,
     ShapeError,
     TooManySamplesError,
     ZeroMatrixError,
 )
-from .matrix import SketchResult, as_matrix, check_unit_columns, singular_value_rank
+from .matrix import (
+    NORM_TOL,
+    SketchResult,
+    as_matrix,
+    check_unit_columns,
+    singular_value_rank,
+)
 
 # method name -> sampler run by sample_columns.  The lambdas look the
 # sampler up by name at call time, so a rebinding of a module attribute
@@ -46,9 +55,14 @@ _SAMPLERS = {
 
 METHODS = tuple(_SAMPLERS)
 
-# byte budget of one row block of |Phi . X|: the only large temporary of
-# spatial selection and of the region-area estimate
+# byte budget of one row block of the |Phi . X| screen: with the float32
+# copy of X above the cut below, the only large temporary of spatial
+# selection and of the region-area estimate
 _BLOCK_BYTES = 16 << 20
+# ambient dimension N1 from which the screen GEMM runs in float32; at
+# N1 = 2 and 20,000 columns a float32 screen left every row with
+# near-tied candidates to settle, and took twice the float64 time
+_FLOAT32_MIN_N1 = 4
 
 
 @dataclass(frozen=True)
@@ -83,26 +97,50 @@ def sample_gaussian_directions(n: int, N1: int, rng: np.random.Generator) -> np.
     return rng.standard_normal((n, N1))
 
 
+def _gamma(k: int, u: float) -> float:
+    """Higham's gamma_k: k rounding errors of unit u compound to at most this."""
+    return k * u / (1.0 - k * u)
+
+
 def abs_projection_blocks(X: np.ndarray, n: int, directions):
-    """Yield ``(start, stop, |phi[start:stop] @ X|)`` over row blocks of phi.
+    """Yield ``(start, stop, phi, q, tol)`` over row blocks of the directions.
 
     ``directions(start, stop)`` returns rows start..stop-1 of the n-row
-    direction matrix phi, so phi may be drawn block by block.  A block
-    holds at most ``_BLOCK_BYTES`` of float64 (but at least two rows), and
-    every block reuses one buffer: consume it before advancing.  A one-row
-    tail joins the block before it, because a one-row product runs as a
-    GEMV, which rounds differently from the same row of a GEMM.
+    direction matrix, so it may be drawn block by block.  ``phi`` is that
+    block with each row scaled by a power of two (exactly), so that its
+    largest entry lies in [1/2, 1).  ``q`` is the screen |phi @ X|,
+    computed in float32 when X has at least ``_FLOAT32_MIN_N1`` rows and
+    in float64 otherwise.  For unit columns x_j, every q[i, j] is within
+    tol[i] / 2 of ``exact_abs_dots`` of phi_i and x_j, so the best exact
+    score of row i lies within tol[i] of the row's largest screen value.
+    A block holds at most ``_BLOCK_BYTES`` of screen values (at least one
+    row), and every block reuses one buffer: consume it before advancing.
     """
-    n2 = X.shape[1]
-    rows = max(2, _BLOCK_BYTES // (8 * n2))
-    edges = list(range(0, n, rows))
-    if len(edges) > 1 and n - edges[-1] == 1:
-        edges.pop()
-    edges.append(n)
-    buf = np.empty((np.diff(edges).max(), n2))
-    for start, stop in zip(edges[:-1], edges[1:]):
-        q = np.matmul(directions(start, stop), X, out=buf[: stop - start])
-        yield start, stop, np.abs(q, out=q)
+    n1, n2 = X.shape
+    # a float32 sum of N1 products has a useful bound only while N1 u << 1
+    dtype = np.float32 if _FLOAT32_MIN_N1 <= n1 < 1 << 20 else np.float64
+    X = X.astype(dtype, copy=False)
+    u64 = np.finfo(np.float64).eps / 2
+    # Higham (Accuracy and Stability of Numerical Algorithms, 3.1): the
+    # screen's two casts and its sum round by at most gamma_{N1+2}(u) and
+    # the exact score's sum by gamma_{N1}(u64), each times
+    # sum_k |phi_ik x_kj| <= ||phi_i|| (1 + NORM_TOL) for a unit column.
+    # tol is twice that; its last factor covers the rounding of ||phi_i||
+    # and of tol, and eta the underflow of casts and products.
+    rel = (
+        2 * (_gamma(n1 + 2, np.finfo(dtype).eps / 2) + _gamma(n1, u64))
+        * (1 + NORM_TOL) * (1 + _gamma(n1 + 8, u64))
+    )
+    eta = 16 * n1 * float(np.finfo(dtype).tiny)
+    rows = max(1, _BLOCK_BYTES // (X.itemsize * n2))
+    buf = np.empty((min(rows, n), n2), dtype)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        phi = directions(start, stop)
+        phi = np.ldexp(phi, -np.frexp(np.abs(phi).max(axis=1))[1][:, None])
+        q = np.matmul(phi.astype(dtype, copy=False), X, out=buf[: stop - start])
+        tol = rel * np.sqrt(np.einsum("ij,ij->i", phi, phi)) + eta
+        yield start, stop, phi, np.abs(q, out=q), tol
 
 
 def srs_select_indices(
@@ -112,9 +150,14 @@ def srs_select_indices(
 
     Row i of ``phi`` selects the column maximizing |phi_i . x_j|; ties go
     to the lowest column index.  Without replacement, columns picked by
-    earlier rows are excluded before taking the argmax.  |phi . X| is
-    streamed in row blocks, so at most one block of ``_BLOCK_BYTES`` is
-    held at a time, never the dense n x N2 matrix.
+    earlier rows are excluded before taking the argmax.  The score is
+    ``exact_abs_dots``, a fixed-order float64 sum, so the picks depend
+    on (X, phi) alone, not on the BLAS, its threads or the block layout.
+    It is evaluated only for the columns a fast |phi . X| screen cannot
+    tell apart.  The screen is streamed in row blocks, so at most one
+    block of ``_BLOCK_BYTES`` is held at a time, never the dense n x N2
+    matrix, plus a float32 copy of X when it has ``_FLOAT32_MIN_N1`` rows
+    or more.
     """
     X = as_matrix(X)
     phi = as_matrix(phi)
@@ -130,11 +173,13 @@ def srs_select_indices(
         )
     out = np.empty(n, dtype=np.int64)
     taken = np.zeros(X.shape[1], dtype=bool)
-    for start, stop, q in abs_projection_blocks(X, n, lambda a, b: phi[a:b]):
+    blocks = abs_projection_blocks(X, n, lambda a, b: phi[a:b])
+    for start, stop, phi_b, q, tol in blocks:
+        score = partial(exact_abs_dots, phi_b, X)
         if with_replacement:
-            out[start:stop] = q.argmax(axis=1)
+            out[start:stop] = pick_argmax(q, tol, score)
         else:
-            out[start:stop] = pick_distinct_argmax(q, taken)
+            out[start:stop] = pick_distinct_argmax(q, taken, tol, score)
     return out
 
 
