@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import exact_abs_dots, pick_argmax
 from .errors import BadArcLengthsError, BadBetaError, BadParamsError, ParseError
+from .io import comment_block, numbered_lines
 from .kmeans import balanced_centers_check, kmeans
 from .matrix import (
     ClusterLabels,
@@ -49,13 +51,11 @@ class ExperimentReport:
         if hasattr(path, "write"):
             self._write(path, comment)
         else:
-            with open(path, "w", newline="\n") as fh:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 self._write(fh, comment)
 
     def _write(self, fh, comment):
-        if comment:
-            for part in comment.splitlines():
-                fh.write(f"# {part}\n")
+        fh.write(comment_block(comment))
         for key in sorted(self.metadata):
             fh.write(f"# {key}={self.metadata[key]}\n")
         fh.write(",".join(REPORT_HEADER) + "\n")
@@ -75,8 +75,8 @@ def _fmt_num(x):
 def load_report(path) -> ExperimentReport:
     rows = []
     header_seen = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with closing(numbered_lines(path)) as lines:
+        for lineno, raw in lines:
             text = raw.strip()
             if not text or text.startswith("#"):
                 continue

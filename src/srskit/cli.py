@@ -24,7 +24,15 @@ import numpy as np
 from . import analysis, plots
 from .embedding import KINDS, EmbeddingSpec, apply_embedding, build_embedding
 from .errors import ShapeError, SrskitError, ZeroMatrixError
-from .io import load_csv, load_indices, load_labels, save_csv, save_indices, save_labels
+from .io import (
+    comment_block,
+    load_csv,
+    load_indices,
+    load_labels,
+    save_csv,
+    save_indices,
+    save_labels,
+)
 from .matrix import approximation_error, normalize_columns, numerical_rank
 from .samplers import METHODS, SamplerSpec, sample_columns
 from .synthgen import ArcSpec, SubspaceSpec, gen_arc_clusters, gen_union_subspaces
@@ -291,9 +299,9 @@ def _cmd_sketch(args, echo):
 
 
 def _emit_lines(lines, echo, out_path):
-    text = f"# {echo}\n" + "".join(f"{line}\n" for line in lines)
+    text = comment_block(echo) + "".join(f"{line}\n" for line in lines)
     if out_path is not None:
-        with open(out_path, "w", newline="\n") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

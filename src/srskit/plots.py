@@ -56,7 +56,11 @@ class _Canvas:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
         ]
         if comment:
-            safe = str(comment).replace("--", "- -")
+            # '--' may not occur in an XML comment; one pass leaves some
+            # of a longer run of dashes, so repeat until none is left
+            safe = str(comment)
+            while "--" in safe:
+                safe = safe.replace("--", "- -")
             self.parts.append(f"<!-- {safe} -->")
         self.parts.append(
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>'
@@ -142,7 +146,7 @@ class _Canvas:
 
     def finish(self, path):
         self.parts.append("</svg>")
-        with open(path, "w", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(self.parts) + "\n")
 
 

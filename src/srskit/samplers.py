@@ -55,10 +55,18 @@ _SAMPLERS = {
 
 METHODS = tuple(_SAMPLERS)
 
-# byte budget of one row block of the |Phi . X| screen: with the float32
-# copy of X above the cut below, the only large temporary of spatial
-# selection and of the region-area estimate
+# row blocks of the |Phi . X| screen: with the float32 copy of X above
+# the cut below, one block is the only large temporary of spatial
+# selection and of the region-area estimate.  A block has N1 rows, as many
+# bytes as the screen's copy of X, within the bounds below.  Each block's
+# GEMM packs X once, and fewer than about 16 rows leave that unamortized
+# (1 BLAS thread): at 8 x 200,000, 8-row blocks took 1.3 times as long as
+# 16-row ones, and at 100 x 50,000, 1 MiB (5-row) blocks 2.7 times as long
+# as 16 MiB ones.  The byte floor keeps per-block overhead small on small
+# data.
 _BLOCK_BYTES = 16 << 20
+_MIN_BLOCK_BYTES = 1 << 20
+_MIN_BLOCK_ROWS = 16
 # ambient dimension N1 from which the screen GEMM runs in float32; at
 # N1 = 2 and 20,000 columns a float32 screen left every row with
 # near-tied candidates to settle, and took twice the float64 time
@@ -113,8 +121,10 @@ def abs_projection_blocks(X: np.ndarray, n: int, directions):
     in float64 otherwise.  For unit columns x_j, every q[i, j] is within
     tol[i] / 2 of ``exact_abs_dots`` of phi_i and x_j, so the best exact
     score of row i lies within tol[i] of the row's largest screen value.
-    A block holds at most ``_BLOCK_BYTES`` of screen values (at least one
-    row), and every block reuses one buffer: consume it before advancing.
+    A block has N1 rows, as many bytes as the screen's copy of X, but at
+    least ``_MIN_BLOCK_ROWS`` rows and ``_MIN_BLOCK_BYTES``, and at most
+    ``_BLOCK_BYTES`` (and at least one row); every block reuses one
+    buffer: consume it before advancing.
     """
     n1, n2 = X.shape
     # a float32 sum of N1 products has a useful bound only while N1 u << 1
@@ -132,7 +142,9 @@ def abs_projection_blocks(X: np.ndarray, n: int, directions):
         * (1 + NORM_TOL) * (1 + _gamma(n1 + 8, u64))
     )
     eta = 16 * n1 * float(np.finfo(dtype).tiny)
-    rows = max(1, _BLOCK_BYTES // (X.itemsize * n2))
+    row_bytes = X.itemsize * n2
+    rows = max(n1, _MIN_BLOCK_ROWS, _MIN_BLOCK_BYTES // row_bytes)
+    rows = max(1, min(rows, _BLOCK_BYTES // row_bytes))
     buf = np.empty((min(rows, n), n2), dtype)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
@@ -154,10 +166,10 @@ def srs_select_indices(
     ``exact_abs_dots``, a fixed-order float64 sum, so the picks depend
     on (X, phi) alone, not on the BLAS, its threads or the block layout.
     It is evaluated only for the columns a fast |phi . X| screen cannot
-    tell apart.  The screen is streamed in row blocks, so at most one
-    block of ``_BLOCK_BYTES`` is held at a time, never the dense n x N2
-    matrix, plus a float32 copy of X when it has ``_FLOAT32_MIN_N1`` rows
-    or more.
+    tell apart.  The screen is streamed in row blocks sized to the data
+    (see ``abs_projection_blocks``), so one block, of at most
+    ``_BLOCK_BYTES``, is held at a time, never the dense n x N2 matrix,
+    plus a float32 copy of X when it has ``_FLOAT32_MIN_N1`` rows or more.
     """
     X = as_matrix(X)
     phi = as_matrix(phi)

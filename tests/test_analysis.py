@@ -11,6 +11,7 @@ from srskit import (
     BoundParams,
     ClusterLabels,
     ExperimentReport,
+    ParseError,
     SamplerSpec,
     SubspaceSpec,
     coverage_experiment,
@@ -272,3 +273,15 @@ def test_lemma_empirical_quick():
 def test_success_rate_zero_draws():
     D, labels = arc_data(1.0, 1.0, 10, 10, seed=23)
     assert _coverage_success_rate(D, labels, 1, 0, 5, 0, spatial=False) == 0.0
+
+
+def test_report_undecodable_line_named(tmp_path):
+    path = tmp_path / "r.csv"
+    sample_report().to_csv(path, comment="cfg")
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines[4] == b"0,srs,2,,2.0\n"
+    lines[4] = b"0,s\xffs,2,,2.0\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as info:
+        load_report(path)
+    assert info.value.line == 5

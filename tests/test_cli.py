@@ -297,3 +297,28 @@ def test_every_output_file_carries_echo(tmp_path):
     files.append(ev)
     for f in files:
         assert f.read_text().startswith("# srskit "), f
+
+
+def test_undecodable_input_exits_one_naming_line(tmp_path, capsys):
+    mat, lab = gen_arcs(tmp_path)
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"1.0,0.0\n0.0,\xff1.0\n")
+    rc = run("sketch", "--matrix", bad, "--method", "ris", "--n", 1,
+             "--seed", 1, "--out-indices", tmp_path / "i.csv")
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ParseError: line 2: ")
+    bad.write_bytes(b"0\n\xff\n" + b"1\n" * 398)
+    rc = run("exp", "coverage", "--matrix", mat, "--labels", bad,
+             "--methods", "ris", "--n", 10, "--trials", 1, "--seed", 2)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("ParseError: line 2: ")
+
+
+def test_multi_line_echo_stays_commented(tmp_path, capsys):
+    mat, _ = gen_arcs(tmp_path)
+    odd = tmp_path / "a\nb.csv"
+    odd.write_bytes(mat.read_bytes())
+    assert run("eval", "rank", "--matrix", odd) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["# srskit eval rank --matrix '" + str(tmp_path / "a"),
+                   "# b.csv'", "rank,2"]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,3 +151,70 @@ def test_indices_reject_non_integer(tmp_path):
     path.write_text("1\n2.5\n")
     with pytest.raises(ParseError):
         load_indices(path)
+
+
+def test_undecodable_line_is_named(tmp_path):
+    path = tmp_path / "bad.csv"
+    for loader, first in ((load_csv, b"1.0,2.0\n"), (load_labels, b"0\n"),
+                          (load_indices, b"3\n")):
+        path.write_bytes(b"# caf\xc3\xa9 ok\n" + first + b"1.0,\xff\n")
+        with pytest.raises(ParseError, match="^line 3: ") as info:
+            loader(path)
+        assert info.value.line == 3
+    # a comment line is text too
+    path.write_bytes(b"1.0,2.0\n# \xff\n3.0,4.0\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert info.value.line == 2
+
+
+def test_undecodable_line_after_a_bad_field(tmp_path):
+    # the error named is the first in file order, whichever kind it is
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.0,2.0\n1.0,zap\n\xff\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert info.value.line == 2
+    path.write_bytes(b"1_0,2.0\n1.0\xff,2.0\n")
+    with pytest.raises(ParseError) as info:
+        load_csv(path)
+    assert info.value.line == 2
+
+
+def test_utf8_text_with_any_newline(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes("# écho — 中\r\n1.5,2.0\r0.25,-3.0\n".encode())
+    assert load_csv(path).tolist() == [[1.5, 2.0], [0.25, -3.0]]
+    save_csv(np.eye(1), path, comment="é")
+    assert path.read_bytes() == "# é\n1.0\n".encode()
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_save_csv_memory_is_one_row(tmp_path):
+    # formatting the whole matrix at once held every float as a Python
+    # object and every line as a str: 63 MiB here
+    D = np.random.default_rng(0).standard_normal((100, 20_000))
+    path = tmp_path / "m.csv"
+    _, peak = traced_peak(save_csv, D, path)
+    assert peak < 4 << 20
+    assert (np.loadtxt(path, delimiter=",") == D).all()
+
+
+def test_load_csv_memory_is_the_result(tmp_path):
+    # keeping every data line as a str held 3.6 times the result
+    D = np.random.default_rng(0).standard_normal((100, 20_000))
+    path = tmp_path / "m.csv"
+    save_csv(D, path, comment="cfg")
+    back, peak = traced_peak(load_csv, path)
+    assert back.tobytes() == D.tobytes()
+    assert peak < 1.5 * D.nbytes + (2 << 20)

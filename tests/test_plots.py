@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 from srskit import ExperimentReport
 from srskit.plots import bar_plot_svg, coverage_svg, line_plot_svg, rank_curve_svg
 
@@ -60,3 +62,13 @@ def test_bar_plot_deterministic(tmp_path):
     bar_plot_svg([0, 1, 2], series, a, comment="same")
     bar_plot_svg([0, 1, 2], series, b, comment="same")
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_comment_dash_runs_stay_well_formed(tmp_path):
+    path = tmp_path / "c.svg"
+    for comment in ("srskit exp --out ---.csv", "x ----- y", "ends in -",
+                    "a --\nb -"):
+        line_plot_svg([("a", [0, 1], [0.0, 1.0])], path, comment=comment)
+        ElementTree.parse(path)
+        body = path.read_text().split("<!--", 1)[1].split("-->", 1)[0]
+        assert "--" not in body

@@ -16,11 +16,14 @@ from hypothesis.extra.numpy import arrays
 from test_kernels import oracle_pick_distinct_argmax
 
 from srskit import (
+    ArcSpec,
     ClusterLabels,
     estimate_region_areas,
+    gen_arc_clusters,
     normalize_columns,
     samplers,
     srs_select_indices,
+    srs_with_replacement,
 )
 
 
@@ -349,3 +352,27 @@ def test_float32_selection_memory_is_one_block_and_one_copy():
     finally:
         tracemalloc.stop()
     assert peak < samplers._BLOCK_BYTES + 4 * n1 * n2 + (2 << 20)
+
+
+def _arc_pair():
+    # the README arc pair: 2 x 5,050, 80 KB of data
+    return gen_arc_clusters(ArcSpec(tau1=1.2, tau2=0.6, n1=5000, n2=50, seed=0))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda D, labels, rng: srs_with_replacement(D, 800, rng).indices,
+    lambda D, labels, rng: estimate_region_areas(D, labels, 800, rng),
+], ids=["srs_with_replacement", "estimate_region_areas"])
+def test_small_data_gets_small_blocks(monkeypatch, estimate):
+    # a fixed 16 MiB block was 200 times the data it screened
+    D, labels = _arc_pair()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = estimate(D, labels, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+    monkeypatch.setattr(samplers, "_MIN_BLOCK_BYTES", 16 << 20)
+    assert (estimate(D, labels, np.random.default_rng(3)) == got).all()
