@@ -10,17 +10,18 @@ order-insensitive, and bitwise reproducible.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import exact_abs_dots, pick_argmax
 from .errors import BadArcLengthsError, BadBetaError, BadParamsError, ParseError
-from .io import comment_block, numbered_lines
+from .io import numbered_lines, write_lines
 from .kmeans import balanced_centers_check, kmeans
 from .matrix import (
+    DEFAULT_RANK_TOL,
     ClusterLabels,
     as_matrix,
     check_unit_columns,
@@ -29,9 +30,10 @@ from .matrix import (
 )
 from .samplers import (
     SamplerSpec,
-    abs_projection_blocks,
-    ris,
     sample_columns,
+    sample_gaussian_directions,
+    sampler_input,
+    srs_select_indices,
     srs_with_replacement,
 )
 from .synthgen import ArcSpec, gen_arc_clusters
@@ -47,23 +49,19 @@ class ExperimentReport:
     metadata: dict = field(default_factory=dict)
 
     def to_csv(self, path, comment: str | None = None) -> None:
-        """Write the table to a path or file-like object."""
-        if hasattr(path, "write"):
-            self._write(path, comment)
-        else:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                self._write(fh, comment)
+        """Write the table to a path or an open text stream.
 
-    def _write(self, fh, comment):
-        fh.write(comment_block(comment))
-        for key in sorted(self.metadata):
-            fh.write(f"# {key}={self.metadata[key]}\n")
-        fh.write(",".join(REPORT_HEADER) + "\n")
-        for trial, method, x, cluster, value in self.rows:
-            cl = "" if cluster is None else str(int(cluster))
-            fh.write(
-                f"{int(trial)},{method},{_fmt_num(x)},{cl},{repr(float(value))}\n"
-            )
+        The ``comment`` echo comes first, then the metadata as sorted
+        ``# key=value`` lines, the header and one line per row.
+        """
+        meta = (f"# {key}={self.metadata[key]}" for key in sorted(self.metadata))
+        rows = (
+            f"{int(trial)},{method},{_fmt_num(x)},"
+            f"{'' if cluster is None else int(cluster)},{float(value)!r}"
+            for trial, method, x, cluster, value in self.rows
+        )
+        header = [",".join(REPORT_HEADER)]
+        write_lines(path, itertools.chain(meta, header, rows), comment)
 
 
 def _fmt_num(x):
@@ -157,8 +155,10 @@ def estimate_region_areas(
     """Monte-Carlo fractions of the sphere where each cluster dominates.
 
     Draws T random directions and assigns each to the cluster whose
-    columns reach the largest absolute inner product with it (the exact
-    score of ``srs_select_indices``); ties go to the lowest cluster id.
+    columns reach the largest absolute inner product with it; ties go to
+    the lowest cluster id.  This is spatial selection with replacement
+    (``srs_select_indices``) on the columns sorted by cluster, so it
+    holds the T x N1 direction matrix, as ``srs_with_replacement`` does.
     The returned fractions sum to 1.
     """
     X = as_matrix(X)
@@ -167,20 +167,12 @@ def estimate_region_areas(
         raise ValueError("T must be >= 1")
     if len(labels) != X.shape[1]:
         raise ValueError("labels length must match column count")
-    s = labels.n_clusters
-    # the screen sees the columns in cluster order, so the first of tied
+    # selection sees the columns in cluster order, so the first of tied
     # columns belongs to the lowest cluster id
     order = np.argsort(labels.values, kind="stable")
-    owner = labels.values[order]
-    counts = np.zeros(s, dtype=np.int64)
-    # directions are drawn block by block, in order, from rng
-    blocks = abs_projection_blocks(
-        X[:, order], T, lambda a, b: rng.standard_normal((b - a, X.shape[0]))
-    )
-    for _, _, phi, A, tol in blocks:
-        pos = pick_argmax(A, tol, lambda r, c: exact_abs_dots(phi, X, r, order[c]))
-        counts += np.bincount(owner[pos], minlength=s)
-    return counts / T
+    phi = sample_gaussian_directions(T, X.shape[0], rng)
+    pos = srs_select_indices(X[:, order], phi, with_replacement=True)
+    return np.bincount(labels.values[order[pos]], minlength=labels.n_clusters) / T
 
 
 def empirical_sampling_probabilities(
@@ -208,7 +200,7 @@ def rank_curve(
     n_grid,
     trials: int,
     master_seed: int,
-    rel_tol: float = 1e-8,
+    rel_tol: float = DEFAULT_RANK_TOL,
 ) -> ExperimentReport:
     """Numerical rank of a growing sketch at each grid size.
 
@@ -222,7 +214,9 @@ def rank_curve(
         raise ValueError("n_grid must be ascending and non-empty")
     if min(n_grid) < 1:
         raise ValueError("grid sizes must be >= 1")
-    M = normalize_columns(D) if spec.method.startswith("srs") else D
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    M = sampler_input(D, spec.method)
     widest = dataclasses.replace(spec, n=max(n_grid))
     rows = []
     for t in range(trials):
@@ -249,17 +243,13 @@ def coverage_experiment(
     D = as_matrix(D)
     if len(labels) != D.shape[1]:
         raise ValueError("labels length must match column count")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     s = labels.n_clusters
-    normalized = None
     rows = []
     for spec in specs:
         spec = dataclasses.replace(spec, n=n)
-        if spec.method.startswith("srs"):
-            if normalized is None:
-                normalized = normalize_columns(D)
-            M = normalized
-        else:
-            M = D
+        M = sampler_input(D, spec.method)
         for t in range(trials):
             rng = np.random.default_rng(master_seed + t)
             result = sample_columns(M, spec, rng)
@@ -441,15 +431,15 @@ def lemma3_empirical(
 
 def _coverage_success_rate(D, labels, m, n, trials, master_seed, spatial):
     # both lemmas assume sampling with replacement
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if n < 1:
         return 0.0
+    spec = SamplerSpec("srs_repl" if spatial else "ris_repl", n)
     successes = 0
     for t in range(trials):
         rng = np.random.default_rng(master_seed + t)
-        if spatial:
-            result = srs_with_replacement(D, n, rng)
-        else:
-            result = ris(D, n, True, rng)
+        result = sample_columns(D, spec, rng)
         counts = np.bincount(
             labels.values[result.indices], minlength=labels.n_clusters
         )

@@ -25,16 +25,21 @@ from . import analysis, plots
 from .embedding import KINDS, EmbeddingSpec, apply_embedding, build_embedding
 from .errors import ShapeError, SrskitError, ZeroMatrixError
 from .io import (
-    comment_block,
     load_csv,
     load_indices,
     load_labels,
     save_csv,
     save_indices,
     save_labels,
+    write_lines,
 )
-from .matrix import approximation_error, normalize_columns, numerical_rank
-from .samplers import METHODS, SamplerSpec, sample_columns
+from .matrix import (
+    DEFAULT_RANK_TOL,
+    approximation_error,
+    normalize_columns,
+    numerical_rank,
+)
+from .samplers import METHODS, SamplerSpec, sample_columns, sampler_input
 from .synthgen import ArcSpec, SubspaceSpec, gen_arc_clusters, gen_union_subspaces
 
 
@@ -120,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rank = esub.add_parser("rank", help="numerical rank of a matrix CSV")
     rank.add_argument("--matrix", required=True)
-    rank.add_argument("--rel-tol", type=float, default=1e-8)
+    rank.add_argument("--rel-tol", type=float, default=DEFAULT_RANK_TOL)
     rank.add_argument("--out", default=None)
     rank.set_defaults(func=_cmd_eval_rank)
 
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--trials", type=int, required=True)
     rc.add_argument("--seed", type=int, required=True)
     rc.add_argument("--leverage-k", type=int, default=None)
-    rc.add_argument("--rel-tol", type=float, default=1e-8)
+    rc.add_argument("--rel-tol", type=float, default=DEFAULT_RANK_TOL)
     rc.add_argument("--out", default=None)
     rc.add_argument("--svg", default=None)
     rc.set_defaults(func=_cmd_exp_rank_curve)
@@ -277,8 +282,7 @@ def _cmd_sketch(args, echo):
             seed=args.embed_seed,
         )
         M = apply_embedding(build_embedding(espec, D.shape[0]), D)
-    if args.method.startswith("srs"):
-        M = normalize_columns(M)
+    M = sampler_input(M, args.method)
     spec = SamplerSpec(
         method=args.method,
         n=args.n,
@@ -298,20 +302,27 @@ def _cmd_sketch(args, echo):
     return 0
 
 
-def _emit_lines(lines, echo, out_path):
-    text = comment_block(echo) + "".join(f"{line}\n" for line in lines)
-    if out_path is not None:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _out(args):
+    """The file ``--out`` names, or stdout when it is omitted."""
+    return sys.stdout if args.out is None else args.out
+
+
+def _emit_lines(lines, echo, args):
+    write_lines(_out(args), lines, echo)
     return 0
+
+
+def _load_indices_below(path, size, what):
+    idx = load_indices(path)  # never empty
+    if idx.max() >= size:
+        raise ShapeError(f"index {idx.max()} out of range for {size} {what}")
+    return idx
 
 
 def _cmd_eval_rank(args, echo):
     D = load_csv(args.matrix)
     value = numerical_rank(D, rel_tol=args.rel_tol)
-    return _emit_lines([f"rank,{value}"], echo, args.out)
+    return _emit_lines([f"rank,{value}"], echo, args)
 
 
 def _cmd_eval_error(args, echo):
@@ -319,48 +330,35 @@ def _cmd_eval_error(args, echo):
     if args.columns is not None:
         C = load_csv(args.columns)
     else:
-        idx = load_indices(args.indices)
-        if idx.size and idx.max() >= D.shape[1]:
-            raise ShapeError(
-                f"index {idx.max()} out of range for {D.shape[1]} columns"
-            )
-        C = D[:, idx]
+        C = D[:, _load_indices_below(args.indices, D.shape[1], "columns")]
     value = approximation_error(D, C)
-    return _emit_lines([f"error,{value!r}"], echo, args.out)
+    return _emit_lines([f"error,{value!r}"], echo, args)
 
 
 def _cmd_eval_coverage(args, echo):
     labels = load_labels(args.labels, n_clusters=args.n_clusters)
-    idx = load_indices(args.indices)
-    if idx.size and idx.max() >= len(labels):
-        raise ShapeError(
-            f"index {idx.max()} out of range for {len(labels)} labels"
-        )
+    idx = _load_indices_below(args.indices, len(labels), "labels")
     counts = np.bincount(labels.values[idx], minlength=labels.n_clusters)
     lines = ["cluster,count"]
     lines += [f"{cl},{int(c)}" for cl, c in enumerate(counts)]
-    return _emit_lines(lines, echo, args.out)
+    return _emit_lines(lines, echo, args)
 
 
-def _write_report(report, args, echo, svg_writer=None):
-    if args.out is not None:
-        report.to_csv(args.out, comment=echo)
-    else:
-        report.to_csv(sys.stdout, comment=echo)
-    if getattr(args, "svg", None) is not None and svg_writer is not None:
-        svg_writer(report, args.svg, echo)
+def _write_report(report, args, echo):
+    report.to_csv(_out(args), comment=echo)
     return 0
+
+
+def _specs(args, n):
+    """One spec per ``--methods`` entry; only leverage reads ``leverage_k``."""
+    return [SamplerSpec(m, n, leverage_k=args.leverage_k) for m in args.methods]
 
 
 def _cmd_exp_rank_curve(args, echo):
     D = load_csv(args.matrix)
     rows = []
-    for method in args.methods:
-        spec = SamplerSpec(
-            method=method,
-            n=1,
-            leverage_k=args.leverage_k if method == "leverage" else None,
-        )
+    # rank_curve grows each sketch to the largest grid size
+    for spec in _specs(args, 1):
         rep = analysis.rank_curve(
             D, spec, args.grid, args.trials, args.seed, rel_tol=args.rel_tol
         )
@@ -374,32 +372,22 @@ def _cmd_exp_rank_curve(args, echo):
             "methods": ",".join(args.methods),
         },
     )
-    return _write_report(
-        report, args, echo,
-        svg_writer=lambda rep, path, c: plots.rank_curve_svg(rep, path, comment=c),
-    )
+    _write_report(report, args, echo)
+    if args.svg is not None:
+        plots.rank_curve_svg(report, args.svg, comment=echo)
+    return 0
 
 
 def _cmd_exp_coverage(args, echo):
     D = load_csv(args.matrix)
     labels = load_labels(args.labels)
-    specs = [
-        SamplerSpec(
-            method=m,
-            n=args.n,
-            leverage_k=args.leverage_k if m == "leverage" else None,
-        )
-        for m in args.methods
-    ]
     report = analysis.coverage_experiment(
-        D, labels, specs, args.n, args.trials, args.seed
+        D, labels, _specs(args, args.n), args.n, args.trials, args.seed
     )
-    return _write_report(
-        report, args, echo,
-        svg_writer=lambda rep, path, c: plots.coverage_svg(
-            rep, labels.n_clusters, path, comment=c
-        ),
-    )
+    _write_report(report, args, echo)
+    if args.svg is not None:
+        plots.coverage_svg(report, labels.n_clusters, args.svg, comment=echo)
+    return 0
 
 
 def _cmd_exp_probability(args, echo):
@@ -408,20 +396,16 @@ def _cmd_exp_probability(args, echo):
     X = normalize_columns(D)
     rng = np.random.default_rng(args.seed)
     rows = []
-    if args.estimator in ("srs", "both"):
-        freqs = analysis.empirical_sampling_probabilities(
-            X, labels, args.draws, rng
-        )
-        rows += [
-            (0, "srs_repl", args.draws, cl, float(f))
-            for cl, f in enumerate(freqs)
-        ]
-    if args.estimator in ("directions", "both"):
-        areas = analysis.estimate_region_areas(X, labels, args.draws, rng)
-        rows += [
-            (0, "directions", args.draws, cl, float(f))
-            for cl, f in enumerate(areas)
-        ]
+    # both estimators, in this order, draw from the one generator
+    for estimator, method, estimate in (
+        ("srs", "srs_repl", analysis.empirical_sampling_probabilities),
+        ("directions", "directions", analysis.estimate_region_areas),
+    ):
+        if args.estimator in (estimator, "both"):
+            fracs = estimate(X, labels, args.draws, rng)
+            rows += [
+                (0, method, args.draws, cl, float(f)) for cl, f in enumerate(fracs)
+            ]
     report = analysis.ExperimentReport(
         tuple(rows),
         {"experiment": "probability", "seed": args.seed, "draws": args.draws},
@@ -508,6 +492,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(raw)
     echo = shlex.join(["srskit"] + raw)
     try:
+        # every output starts with the echo, so check it can be written
+        # before any file is opened; an argument that is not UTF-8
+        # arrives with lone surrogates in it
+        for arg in raw:
+            try:
+                arg.encode("utf-8")
+            except UnicodeEncodeError:
+                raise UsageError(f"argument {ascii(arg)} is not UTF-8") from None
         return args.func(args, echo)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -8,7 +8,9 @@ by every loader.
 
 Files are UTF-8 text; a line that is not is a ParseError naming it.
 Reading and writing stream line by line: beyond the matrix itself, a
-load or save holds one line or row of text at a time.
+load or save holds one line or row of text at a time.  Every text
+output, report CSVs included, goes through ``write_lines``: the
+comment echo as '#' lines, then the lines, to a path or an open stream.
 """
 
 from __future__ import annotations
@@ -29,12 +31,20 @@ def comment_block(comment: str | None) -> str:
     return "".join(f"# {part}\n" for part in comment.splitlines())
 
 
-def _write_lines(path, lines, comment: str | None):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(comment_block(comment))
-        for line in lines:
-            fh.write(line)
-            fh.write("\n")
+def write_lines(out, lines, comment: str | None = None) -> None:
+    """Write ``comment`` as '#' lines, then each of ``lines`` ending in LF.
+
+    ``out`` is a path, opened as UTF-8 with LF newlines, or an open text
+    stream, which is left open.
+    """
+    if not hasattr(out, "write"):
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            write_lines(fh, lines, comment)
+        return
+    out.write(comment_block(comment))
+    for line in lines:
+        out.write(line)
+        out.write("\n")
 
 
 def numbered_lines(path):
@@ -67,7 +77,7 @@ def save_csv(D: np.ndarray, path, comment: str | None = None) -> None:
     """Write a matrix in the no-header CSV format."""
     D = as_matrix(D)
     lines = (",".join(map(repr, row.tolist())) for row in D)
-    _write_lines(path, lines, comment)
+    write_lines(path, lines, comment)
 
 
 def load_csv(path) -> np.ndarray:
@@ -127,7 +137,7 @@ def _parse_rows(numbered) -> np.ndarray:
 
 
 def save_labels(labels: ClusterLabels, path, comment: str | None = None) -> None:
-    _write_lines(path, (str(int(v)) for v in labels.values), comment)
+    write_lines(path, (str(int(v)) for v in labels.values), comment)
 
 
 def load_labels(path, n_clusters: int | None = None) -> ClusterLabels:
@@ -135,6 +145,25 @@ def load_labels(path, n_clusters: int | None = None) -> ClusterLabels:
 
     When ``n_clusters`` is given, any id outside 0..n_clusters-1 is a
     ParseError; otherwise the cluster count is inferred as max id + 1.
+    """
+    values = _load_ints(path, "labels", "cluster id", n_clusters)
+    s = n_clusters if n_clusters is not None else int(values.max()) + 1
+    return ClusterLabels(values, s)
+
+
+def save_indices(result: SketchResult, path, comment: str | None = None) -> None:
+    """Write sampled column indices, one per line, in selection order."""
+    write_lines(path, (str(int(i)) for i in result.indices), comment)
+
+
+def load_indices(path) -> np.ndarray:
+    return _load_ints(path, "indices", "column index")
+
+
+def _load_ints(path, kind: str, noun: str, limit: int | None = None) -> np.ndarray:
+    """One non-negative integer per data line, each below ``limit`` if given.
+
+    ``kind`` names the file and ``noun`` a value in the ParseErrors.
     """
     values = []
     with closing(_data_lines(path)) as numbered:
@@ -144,34 +173,10 @@ def load_labels(path, n_clusters: int | None = None) -> ClusterLabels:
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
             if v < 0:
-                raise ParseError(lineno, f"negative cluster id {v}")
-            if n_clusters is not None and v >= n_clusters:
-                raise ParseError(
-                    lineno, f"cluster id {v} out of range 0..{n_clusters - 1}"
-                )
+                raise ParseError(lineno, f"negative {noun} {v}")
+            if limit is not None and v >= limit:
+                raise ParseError(lineno, f"{noun} {v} out of range 0..{limit - 1}")
             values.append(v)
     if not values:
-        raise ParseError(1, "empty labels file")
-    s = n_clusters if n_clusters is not None else max(values) + 1
-    return ClusterLabels(np.array(values, dtype=np.int64), s)
-
-
-def save_indices(result: SketchResult, path, comment: str | None = None) -> None:
-    """Write sampled column indices, one per line, in selection order."""
-    _write_lines(path, (str(int(i)) for i in result.indices), comment)
-
-
-def load_indices(path) -> np.ndarray:
-    indices = []
-    with closing(_data_lines(path)) as numbered:
-        for lineno, text in numbered:
-            try:
-                v = int(text.strip())
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-            if v < 0:
-                raise ParseError(lineno, f"negative column index {v}")
-            indices.append(v)
-    if not indices:
-        raise ParseError(1, "empty indices file")
-    return np.array(indices, dtype=np.int64)
+        raise ParseError(1, f"empty {kind} file")
+    return np.array(values, dtype=np.int64)

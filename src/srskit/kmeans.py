@@ -28,6 +28,8 @@ def kmeans(
         raise ValueError("k must be >= 1")
     if k > n2:
         raise TooManySamplesError(f"k={k} exceeds {n2} columns")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
     points = np.ascontiguousarray(D.T)
     best_centers = None
     best_inertia = np.inf

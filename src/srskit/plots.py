@@ -7,6 +7,8 @@ comment right after the opening tag, since SVG has no '#' comments.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .analysis import ExperimentReport, per_cluster_means, per_x_summary
@@ -33,6 +35,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+# characters XML 1.0 forbids anywhere in a document
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _escape(text: str) -> str:
     return (
         str(text)
@@ -56,9 +62,10 @@ class _Canvas:
             f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">'
         ]
         if comment:
-            # '--' may not occur in an XML comment; one pass leaves some
-            # of a longer run of dashes, so repeat until none is left
-            safe = str(comment)
+            # characters XML forbids are spelled out (as \x01); '--' may
+            # not occur in an XML comment, and one pass leaves some of a
+            # longer run of dashes, so repeat until none is left
+            safe = _XML_FORBIDDEN.sub(lambda m: ascii(m[0])[1:-1], str(comment))
             while "--" in safe:
                 safe = safe.replace("--", "- -")
             self.parts.append(f"<!-- {safe} -->")
@@ -209,14 +216,15 @@ def bar_plot_svg(group_labels, series, path, title="", xlabel="", ylabel="",
     canvas.finish(path)
 
 
+def _methods(report: ExperimentReport) -> list:
+    """The report's methods in order of first appearance."""
+    return list(dict.fromkeys(row[1] for row in report.rows))
+
+
 def rank_curve_svg(report: ExperimentReport, path, comment=None):
     """Median rank versus sketch size, one line per method."""
-    methods = []
-    for row in report.rows:
-        if row[1] not in methods:
-            methods.append(row[1])
     series = []
-    for method in methods:
+    for method in _methods(report):
         summary = per_x_summary(report, method)
         xs = sorted(summary)
         series.append((method, xs, [summary[x][0] for x in xs]))
@@ -232,12 +240,9 @@ def rank_curve_svg(report: ExperimentReport, path, comment=None):
 
 def coverage_svg(report: ExperimentReport, n_clusters: int, path, comment=None):
     """Mean per-cluster sample count, grouped bars per method."""
-    methods = []
-    for row in report.rows:
-        if row[1] not in methods:
-            methods.append(row[1])
     series = [
-        (m, list(per_cluster_means(report, m, n_clusters))) for m in methods
+        (m, list(per_cluster_means(report, m, n_clusters)))
+        for m in _methods(report)
     ]
     bar_plot_svg(
         list(range(n_clusters)),

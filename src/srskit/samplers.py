@@ -21,6 +21,7 @@ from functools import partial
 
 import numpy as np
 
+from . import matrix
 from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax
 from .errors import (
     RankDeficientKError,
@@ -57,13 +58,12 @@ METHODS = tuple(_SAMPLERS)
 
 # row blocks of the |Phi . X| screen: with the float32 copy of X above
 # the cut below, one block is the only large temporary of spatial
-# selection and of the region-area estimate.  A block has N1 rows, as many
-# bytes as the screen's copy of X, within the bounds below.  Each block's
-# GEMM packs X once, and fewer than about 16 rows leave that unamortized
-# (1 BLAS thread): at 8 x 200,000, 8-row blocks took 1.3 times as long as
-# 16-row ones, and at 100 x 50,000, 1 MiB (5-row) blocks 2.7 times as long
-# as 16 MiB ones.  The byte floor keeps per-block overhead small on small
-# data.
+# selection.  A block has N1 rows, as many bytes as the screen's copy of
+# X, within the bounds below.  Each block's GEMM packs X once, and fewer
+# than about 16 rows leave that unamortized (1 BLAS thread): at
+# 8 x 200,000, 8-row blocks took 1.3 times as long as 16-row ones, and at
+# 100 x 50,000, 1 MiB (5-row) blocks 2.7 times as long as 16 MiB ones.
+# The byte floor keeps per-block overhead small on small data.
 _BLOCK_BYTES = 16 << 20
 _MIN_BLOCK_BYTES = 1 << 20
 _MIN_BLOCK_ROWS = 16
@@ -110,15 +110,13 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u)
 
 
-def abs_projection_blocks(X: np.ndarray, n: int, directions):
-    """Yield ``(start, stop, phi, q, tol)`` over row blocks of the directions.
+def abs_projection_blocks(X: np.ndarray, phi: np.ndarray):
+    """Yield ``(start, stop, phi_b, q, tol)`` over row blocks of ``phi``.
 
-    ``directions(start, stop)`` returns rows start..stop-1 of the n-row
-    direction matrix, so it may be drawn block by block.  ``phi`` is that
-    block with each row scaled by a power of two (exactly), so that its
-    largest entry lies in [1/2, 1).  ``q`` is the screen |phi @ X|,
-    computed in float32 when X has at least ``_FLOAT32_MIN_N1`` rows and
-    in float64 otherwise.  For unit columns x_j, every q[i, j] is within
+    ``phi_b`` is rows start..stop-1 of the direction matrix ``phi``, each
+    scaled by a power of two (exactly), so that its largest entry lies
+    in [1/2, 1).  ``q`` is the screen |phi_b @ X|, computed in float32
+    when X has at least ``_FLOAT32_MIN_N1`` rows and in float64 otherwise.  For unit columns x_j, every q[i, j] is within
     tol[i] / 2 of ``exact_abs_dots`` of phi_i and x_j, so the best exact
     score of row i lies within tol[i] of the row's largest screen value.
     A block has N1 rows, as many bytes as the screen's copy of X, but at
@@ -126,6 +124,7 @@ def abs_projection_blocks(X: np.ndarray, n: int, directions):
     ``_BLOCK_BYTES`` (and at least one row); every block reuses one
     buffer: consume it before advancing.
     """
+    n = phi.shape[0]
     n1, n2 = X.shape
     # a float32 sum of N1 products has a useful bound only while N1 u << 1
     dtype = np.float32 if _FLOAT32_MIN_N1 <= n1 < 1 << 20 else np.float64
@@ -148,11 +147,11 @@ def abs_projection_blocks(X: np.ndarray, n: int, directions):
     buf = np.empty((min(rows, n), n2), dtype)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        phi = directions(start, stop)
-        phi = np.ldexp(phi, -np.frexp(np.abs(phi).max(axis=1))[1][:, None])
-        q = np.matmul(phi.astype(dtype, copy=False), X, out=buf[: stop - start])
-        tol = rel * np.sqrt(np.einsum("ij,ij->i", phi, phi)) + eta
-        yield start, stop, phi, np.abs(q, out=q), tol
+        phi_b = phi[start:stop]
+        phi_b = np.ldexp(phi_b, -np.frexp(np.abs(phi_b).max(axis=1))[1][:, None])
+        q = np.matmul(phi_b.astype(dtype, copy=False), X, out=buf[: stop - start])
+        tol = rel * np.sqrt(np.einsum("ij,ij->i", phi_b, phi_b)) + eta
+        yield start, stop, phi_b, np.abs(q, out=q), tol
 
 
 def srs_select_indices(
@@ -185,8 +184,7 @@ def srs_select_indices(
         )
     out = np.empty(n, dtype=np.int64)
     taken = np.zeros(X.shape[1], dtype=bool)
-    blocks = abs_projection_blocks(X, n, lambda a, b: phi[a:b])
-    for start, stop, phi_b, q, tol in blocks:
+    for start, stop, phi_b, q, tol in abs_projection_blocks(X, phi):
         score = partial(exact_abs_dots, phi_b, X)
         if with_replacement:
             out[start:stop] = pick_argmax(q, tol, score)
@@ -369,14 +367,21 @@ def volume_sampling(
     return _sketch(D, chosen, "volume", False)
 
 
+def sampler_input(D: np.ndarray, method: str) -> np.ndarray:
+    """The matrix to sample ``method`` from: ``D`` column-normalized for
+    the spatial methods, ``D`` itself for the others."""
+    # through the module, so a rebinding of normalize_columns is honoured
+    return matrix.normalize_columns(D) if method in ("srs", "srs_repl") else D
+
+
 def sample_columns(
     M: np.ndarray, spec: SamplerSpec, rng: np.random.Generator | None = None
 ) -> SketchResult:
     """Dispatch on ``spec.method``.
 
-    ``M`` must already be column-normalized for the spatial methods;
-    normalization is deliberately not applied here.  When ``rng`` is
-    omitted it is derived from ``spec.seed``.
+    ``M`` must already be column-normalized for the spatial methods (see
+    ``sampler_input``); normalization is deliberately not applied here.
+    When ``rng`` is omitted it is derived from ``spec.seed``.
     """
     if rng is None:
         if spec.seed is None:

@@ -285,3 +285,16 @@ def test_report_undecodable_line_named(tmp_path):
     with pytest.raises(ParseError) as info:
         load_report(path)
     assert info.value.line == 5
+
+
+@pytest.mark.parametrize("run", [
+    lambda D, labels: rank_curve(D, SamplerSpec("srs", 1), [2, 4], 0, 0),
+    lambda D, labels: coverage_experiment(
+        D, labels, [SamplerSpec("ris", 1)], 3, 0, 0),
+    lambda D, labels: _coverage_success_rate(
+        D, labels, 1, 3, 0, 0, spatial=True),
+], ids=["rank_curve", "coverage_experiment", "coverage_success_rate"])
+def test_trials_below_one_rejected(run):
+    D, labels = arc_data(1.0, 1.0, 10, 10, seed=24)
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run(D, labels)

@@ -322,3 +322,71 @@ def test_multi_line_echo_stays_commented(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == ["# srskit eval rank --matrix '" + str(tmp_path / "a"),
                    "# b.csv'", "rank,2"]
+
+
+def test_non_utf8_argument_is_usage_error_before_any_write(
+        tmp_path, capsys, monkeypatch):
+    # from the shell, a non-UTF-8 byte of an argument reaches sys.argv as
+    # a lone surrogate; the echo holding it could not be written
+    mat, lab = tmp_path / "D.csv", tmp_path / "L\udcff.csv"
+    monkeypatch.setattr("sys.argv", [
+        "srskit", "gen", "arcs", "--tau1", "1.2", "--tau2", "0.6",
+        "--n1", "5", "--n2", "5", "--seed", "0",
+        "--out-matrix", str(mat), "--out-labels", str(lab)])
+    assert main() == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument ")
+    assert "L\\udcff.csv" in err and "not UTF-8" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("exp", "bounds", "--which", "lemma3", "--m", 2, "--delta", 0.1,
+      "--empirical", "--tau1", 1.2, "--tau2", 0.6, "--arc-n1", 50,
+      "--arc-n2", 50, "--data-seed", 0, "--trials", 0, "--seed", 1),
+     "trials must be >= 1"),
+    (("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
+      "--sketch-n", 10, "--seeds", 1, "--seed", 1, "--restarts", 0),
+     "restarts must be >= 1"),
+    (("exp", "rank-curve", "--matrix", "{mat}", "--methods", "srs,ris",
+      "--grid", "5,10", "--trials", 0, "--seed", 1, "--svg", "{svg}"),
+     "trials must be >= 1"),
+    (("exp", "coverage", "--matrix", "{mat}", "--labels", "{lab}",
+      "--methods", "srs,ris", "--n", 5, "--trials", 0, "--seed", 1,
+      "--svg", "{svg}"),
+     "trials must be >= 1"),
+], ids=["bounds", "kmeans", "rank-curve", "coverage"])
+def test_counts_below_one_exit_one_before_writing(tmp_path, capsys, argv,
+                                                  message):
+    mat, lab = gen_arcs(tmp_path, n1=20, n2=20)
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    paths = {"mat": mat, "lab": lab, "svg": svg}
+    argv = [str(a).format(**paths) for a in argv] + ["--out", str(out)]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == f"ValueError: {message}\n"
+    assert not out.exists() and not svg.exists()
+
+
+def test_exp_coverage_leverage_k_reaches_only_leverage(tmp_path):
+    from srskit import SamplerSpec, coverage_experiment
+
+    mat, lab = tmp_path / "S.csv", tmp_path / "SL.csv"
+    assert run("gen", "subspaces", "--ambient", 8, "--dims", "2,2,2",
+               "--pops", "20,20,20", "--seed", 4,
+               "--out-matrix", mat, "--out-labels", lab) == 0
+    argv = ["exp", "coverage", "--matrix", mat, "--labels", lab,
+            "--methods", "srs,ris,leverage", "--n", 10, "--trials", 3,
+            "--seed", 5]
+    plain, with_k = tmp_path / "plain.csv", tmp_path / "k.csv"
+    assert run(*argv, "--out", plain) == 0
+    assert run(*argv, "--leverage-k", 2, "--out", with_k) == 0
+
+    def rows(path, methods):
+        return [r for r in load_report(path).rows if r[1] in methods]
+
+    assert rows(with_k, ("srs", "ris")) == rows(plain, ("srs", "ris"))
+    direct = coverage_experiment(
+        load_csv(mat), load_labels(lab),
+        [SamplerSpec("leverage", 10, leverage_k=2)], 10, 3, 5)
+    assert rows(with_k, ("leverage",)) == list(direct.rows)

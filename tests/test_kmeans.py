@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from srskit import (
     ClusterLabels,
@@ -66,3 +67,9 @@ def test_restarts_pick_lower_inertia():
     centers = kmeans(D, 2, np.random.default_rng(8), restarts=10)
     spread = abs(centers[0, 0] - centers[0, 1])
     assert spread > 10.0
+
+
+def test_restarts_below_one_rejected():
+    D = np.random.default_rng(0).standard_normal((2, 10))
+    with pytest.raises(ValueError, match="restarts must be >= 1"):
+        kmeans(D, 2, np.random.default_rng(1), restarts=0)

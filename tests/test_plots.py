@@ -72,3 +72,23 @@ def test_comment_dash_runs_stay_well_formed(tmp_path):
         ElementTree.parse(path)
         body = path.read_text().split("<!--", 1)[1].split("-->", 1)[0]
         assert "--" not in body
+
+
+def test_comment_characters_xml_forbids_are_spelled_out(tmp_path):
+    path = tmp_path / "c.svg"
+    line_plot_svg([("a", [0, 1], [0.0, 1.0])], path,
+                  comment="srskit exp --out a\x01b.csv")
+    ElementTree.parse(path)
+    assert "a\\x01b.csv" in path.read_text()
+    for bad, shown in (("\x00", "\\x00"), ("\x1f", "\\x1f"),
+                       ("\ufffe", "\\ufffe"), ("\uffff", "\\uffff")):
+        line_plot_svg([("a", [0, 1], [0.0, 1.0])], path, comment=f"x{bad}y")
+        ElementTree.parse(path)
+        assert f"<!-- x{shown}y -->" in path.read_text()
+    # a lone surrogate could not even be written as UTF-8
+    line_plot_svg([("a", [0, 1], [0.0, 1.0])], path, comment="x\udcffy")
+    assert "<!-- x\\udcffy -->" in path.read_text()
+    # tab, LF, CR and other text stay as they are
+    line_plot_svg([("a", [0, 1], [0.0, 1.0])], path, comment="é\tb\nc\rd")
+    ElementTree.parse(path)
+    assert "<!-- é\tb\nc\rd -->".encode() in path.read_bytes()
