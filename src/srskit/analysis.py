@@ -24,6 +24,7 @@ from .matrix import (
     DEFAULT_RANK_TOL,
     ClusterLabels,
     as_matrix,
+    as_matrix_with_norms,
     check_unit_columns,
     normalize_columns,
     numerical_rank,
@@ -33,7 +34,7 @@ from .samplers import (
     sample_columns,
     sample_gaussian_directions,
     sampler_input,
-    srs_select_indices,
+    srs_select_unchecked,
     srs_with_replacement,
 )
 from .synthgen import ArcSpec, gen_arc_clusters
@@ -161,8 +162,7 @@ def estimate_region_areas(
     holds the T x N1 direction matrix, as ``srs_with_replacement`` does.
     The returned fractions sum to 1.
     """
-    X = as_matrix(X)
-    check_unit_columns(X)
+    X = check_unit_columns(*as_matrix_with_norms(X))
     if T < 1:
         raise ValueError("T must be >= 1")
     if len(labels) != X.shape[1]:
@@ -171,7 +171,7 @@ def estimate_region_areas(
     # columns belongs to the lowest cluster id
     order = np.argsort(labels.values, kind="stable")
     phi = sample_gaussian_directions(T, X.shape[0], rng)
-    pos = srs_select_indices(X[:, order], phi, with_replacement=True)
+    pos = srs_select_unchecked(X[:, order], phi, with_replacement=True)
     return np.bincount(labels.values[order[pos]], minlength=labels.n_clusters) / T
 
 
@@ -279,6 +279,10 @@ def kmeans_balance_experiment(
     ground-truth cluster owned a center.
     """
     D = as_matrix(D)
+    if sketch_n < 1:
+        raise ValueError("sketch_n must be >= 1")
+    if seeds < 1:
+        raise ValueError("seeds must be >= 1")
     X = normalize_columns(D)
     rows = []
     for t in range(seeds):

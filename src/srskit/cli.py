@@ -391,6 +391,9 @@ def _cmd_exp_coverage(args, echo):
 
 
 def _cmd_exp_probability(args, echo):
+    # the estimators would name their own counts, n and T
+    if args.draws < 1:
+        raise ValueError("draws must be >= 1")
     D = load_csv(args.matrix)
     labels = load_labels(args.labels)
     X = normalize_columns(D)

@@ -4,7 +4,9 @@ The spatial samplers pick, for each random direction on the unit
 sphere, the unit-norm data column with the largest absolute inner
 product along that direction.  That product is summed in float64 in a
 fixed order, so a pick depends on the data and the directions alone; a
-fast screen of |Phi . X| decides which columns need the exact sum.
+fast screen of |Phi . X|, computed and reduced in cache-sized tiles,
+decides which columns need the exact sum.  The data is checked once, in
+one pass over it, and then handed to ``srs_select_unchecked``.
 Baselines cover uniform index sampling, norm-proportional sampling,
 leverage-score sampling, and adaptive residual (volume) sampling.
 
@@ -33,6 +35,7 @@ from .matrix import (
     NORM_TOL,
     SketchResult,
     as_matrix,
+    as_matrix_with_norms,
     check_unit_columns,
     singular_value_rank,
 )
@@ -56,17 +59,19 @@ _SAMPLERS = {
 
 METHODS = tuple(_SAMPLERS)
 
-# row blocks of the |Phi . X| screen: with the float32 copy of X above
-# the cut below, one block is the only large temporary of spatial
-# selection.  A block has N1 rows, as many bytes as the screen's copy of
-# X, within the bounds below.  Each block's GEMM packs X once, and fewer
-# than about 16 rows leave that unamortized (1 BLAS thread): at
-# 8 x 200,000, 8-row blocks took 1.3 times as long as 16-row ones, and at
-# 100 x 50,000, 1 MiB (5-row) blocks 2.7 times as long as 16 MiB ones.
-# The byte floor keeps per-block overhead small on small data.
-_BLOCK_BYTES = 16 << 20
-_MIN_BLOCK_BYTES = 1 << 20
-_MIN_BLOCK_ROWS = 16
+# tiles of the |Phi . X| screen: each is computed into one reused buffer
+# and reduced while it is still in cache.  The budget is as many bytes as
+# the screen's copy of X, within [_TILE_BYTES / 2, _TILE_BYTES]: on
+# 100 x 50,000 data (2 MiB of L2 cache per core, 1 BLAS thread) tiles of
+# 4 MiB took 1.4 times as long as tiles of 2 MiB, and the floor keeps the
+# tile count, and the per-tile overhead, low on small data.  A tile spans
+# every column when _MIN_FULL_ROWS rows fit: each GEMM packs X once, and
+# fewer rows leave that unamortized (at 8 x 200,000, 8-row blocks took 1.3
+# times as long as 16-row ones, 1 BLAS thread).  Otherwise it spans up to
+# _MAX_TILE_ROWS rows and as many columns as fit.
+_TILE_BYTES = 2 << 20
+_MIN_FULL_ROWS = 16
+_MAX_TILE_ROWS = 512
 # ambient dimension N1 from which the screen GEMM runs in float32; at
 # N1 = 2 and 20,000 columns a float32 screen left every row with
 # near-tied candidates to settle, and took twice the float64 time
@@ -110,25 +115,125 @@ def _gamma(k: int, u: float) -> float:
     return k * u / (1.0 - k * u)
 
 
-def abs_projection_blocks(X: np.ndarray, phi: np.ndarray):
-    """Yield ``(start, stop, phi_b, q, tol)`` over row blocks of ``phi``.
+def _tile_shape(Xs: np.ndarray, n: int) -> tuple[int, int]:
+    """Rows and columns of a screen tile, for ``n`` directions and the
+    screen's copy ``Xs`` of X (see ``_TILE_BYTES``)."""
+    n2 = Xs.shape[1]
+    budget = max(_TILE_BYTES // 2, min(_TILE_BYTES, Xs.nbytes)) // Xs.itemsize
+    if budget // n2 >= _MIN_FULL_ROWS:
+        return min(budget // n2, n), n2
+    rows = min(_MAX_TILE_ROWS, n)
+    return rows, max(1, min(n2, budget // rows))
 
-    ``phi_b`` is rows start..stop-1 of the direction matrix ``phi``, each
-    scaled by a power of two (exactly), so that its largest entry lies
-    in [1/2, 1).  ``q`` is the screen |phi_b @ X|, computed in float32
-    when X has at least ``_FLOAT32_MIN_N1`` rows and in float64 otherwise.  For unit columns x_j, every q[i, j] is within
-    tol[i] / 2 of ``exact_abs_dots`` of phi_i and x_j, so the best exact
-    score of row i lies within tol[i] of the row's largest screen value.
-    A block has N1 rows, as many bytes as the screen's copy of X, but at
-    least ``_MIN_BLOCK_ROWS`` rows and ``_MIN_BLOCK_BYTES``, and at most
-    ``_BLOCK_BYTES`` (and at least one row); every block reuses one
-    buffer: consume it before advancing.
+
+def _abs_product(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None):
+    """|a @ b|, computed in the front of the flat buffer ``buf`` if given.
+
+    The output holds only finite values when the GEMM starts: a BLAS may
+    scale the output it overwrites by 0 (in a GEMV, say), and 0 * inf or
+    0 * nan raises numpy's "invalid value" warning.  So ``buf`` starts as
+    zeros, and a new output is zeroed too.
+    """
+    shape = (a.shape[0], b.shape[1])
+    if buf is None:
+        q = np.zeros(shape, b.dtype)
+    else:
+        q = buf[: shape[0] * shape[1]].reshape(shape)
+    np.matmul(a, b, out=q)
+    return np.abs(q, out=q)
+
+
+def _top_two(phi_c: np.ndarray, Xs: np.ndarray, cols: int):
+    """Per row of |phi_c @ Xs|: the argmax (ties to the lowest index), the
+    maximum and the largest other entry.  The screen is computed and
+    reduced ``cols`` columns at a time, each tile while it is in cache."""
+    # freed on return, before any row is screened again or scored exactly
+    buf = np.zeros(phi_c.shape[0] * cols, Xs.dtype)
+    r = np.arange(phi_c.shape[0])
+    best = np.zeros(r.size, dtype=np.int64)
+    top = np.full(r.size, -np.inf, dtype=Xs.dtype)
+    second = top.copy()
+    for c in range(0, Xs.shape[1], cols):
+        q = _abs_product(phi_c, Xs[:, c : c + cols], buf)
+        k = q.argmax(axis=1)
+        t = q[r, k]
+        q[r, k] = -np.inf
+        s = q.max(axis=1)
+        q[r, k] = t  # finite again before the next GEMM (see _abs_product)
+        up = t > top  # a later tile leads only when strictly larger
+        second = np.where(up, np.maximum(top, s), np.maximum(second, t))
+        top = np.where(up, t, top)
+        best = np.where(up, k + c, best)
+    return best, top, second
+
+
+def _settle(best, need, taken, screen, batch, tol, score):
+    """Picks of a row group whose screen was reduced tile by tile.
+
+    ``best`` holds each row's screen argmax and ``need`` marks the rows
+    that may hold a second candidate.  ``screen(rows)`` computes whole
+    screen rows again, for at most ``batch`` rows at a time, and
+    ``pick_argmax`` or ``pick_distinct_argmax`` settles them (with ``tol``
+    and ``score`` of the group); every other row picks its ``best``.
+    Without replacement (``taken`` given), a row whose ``best`` an earlier
+    row took needs its screen row too; for an earlier row of the group
+    that is only known once that row is settled.
+    """
+    if taken is None:
+        rows = np.flatnonzero(need)
+        for s in range(0, rows.size, batch):
+            r = rows[s : s + batch]
+            best[r] = pick_argmax(screen(r), tol[r], lambda i, c: score(r[i], c))
+        return best
+    first = np.zeros(best.size, dtype=bool)
+    first[np.unique(best, return_index=True)[1]] = True
+    need |= taken[best] | ~first
+    held = np.empty(0, dtype=np.int64)  # rows whose screen rows are in q
+    i = 0
+    while i < best.size:
+        # the rows before the next one in need pick their best, up to the
+        # first whose best an earlier row of the group took
+        j = i + int(np.argmax(np.append(need[i:], True)))
+        hit = np.flatnonzero(taken[best[i:j]])
+        if hit.size:
+            j = i + int(hit[0])
+            need[j] = True
+        taken[best[i:j]] = True
+        if j == best.size:
+            break
+        if not held.size or held[0] != j:
+            held = j + np.flatnonzero(need[j:])[:batch]
+            q = screen(held)
+        # the run of consecutive held rows from j
+        e = int(np.argmax(np.append(held != j + np.arange(held.size), True)))
+        run = held[:e]
+        best[run] = pick_distinct_argmax(
+            q[:e], taken, tol[run], lambda r, c: score(run[r], c))
+        held, q = held[e:], q[e:]
+        i = j + e
+    return best
+
+
+def srs_select_unchecked(
+    X: np.ndarray, phi: np.ndarray, with_replacement: bool = False
+) -> np.ndarray:
+    """``srs_select_indices`` without its input checks.
+
+    ``X`` must be a float64 matrix of unit columns, and ``phi`` a finite
+    float64 matrix with X.shape[0] columns and, without replacement, at
+    most X.shape[1] rows.  The spatial samplers check that once and call
+    this.
     """
     n = phi.shape[0]
     n1, n2 = X.shape
     # a float32 sum of N1 products has a useful bound only while N1 u << 1
-    dtype = np.float32 if _FLOAT32_MIN_N1 <= n1 < 1 << 20 else np.float64
-    X = X.astype(dtype, copy=False)
+    if _FLOAT32_MIN_N1 <= n1 < 1 << 20:
+        # in C order: the GEMM of a few rows screened again packs an
+        # F-ordered copy slowly (16 rows of 100 x 50,000: 2.7 times the time)
+        Xs = X.astype(np.float32, order="C")
+    else:
+        Xs = X
+    dtype = Xs.dtype
     u64 = np.finfo(np.float64).eps / 2
     # Higham (Accuracy and Stability of Numerical Algorithms, 3.1): the
     # screen's two casts and its sum round by at most gamma_{N1+2}(u) and
@@ -141,17 +246,41 @@ def abs_projection_blocks(X: np.ndarray, phi: np.ndarray):
         * (1 + NORM_TOL) * (1 + _gamma(n1 + 8, u64))
     )
     eta = 16 * n1 * float(np.finfo(dtype).tiny)
-    row_bytes = X.itemsize * n2
-    rows = max(n1, _MIN_BLOCK_ROWS, _MIN_BLOCK_BYTES // row_bytes)
-    rows = max(1, min(rows, _BLOCK_BYTES // row_bytes))
-    buf = np.empty((min(rows, n), n2), dtype)
+    rows, cols = _tile_shape(Xs, n)
+    buf = np.zeros(rows * n2, dtype) if cols == n2 else None
+    # rows screened again go in batches of _MIN_FULL_ROWS, so that each GEMM
+    # packs X for as many rows as a full-width tile does, but of at most
+    # 8 tiles (and at least one row)
+    batch = max(1, min(_MIN_FULL_ROWS, 8 * rows * cols // n2))
+    out = np.empty(n, dtype=np.int64)
+    taken = None if with_replacement else np.zeros(n2, dtype=bool)
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        phi_b = phi[start:stop]
+        # each row scaled by a power of two (exactly), so that its largest
+        # entry lies in [1/2, 1); a screen entry of a unit column is then
+        # within tol[i] / 2 of its exact_abs_dots score, and the best score
+        # of row i within tol[i] of the row's largest screen entry
+        phi_b = phi[start : start + rows]
         phi_b = np.ldexp(phi_b, -np.frexp(np.abs(phi_b).max(axis=1))[1][:, None])
-        q = np.matmul(phi_b.astype(dtype, copy=False), X, out=buf[: stop - start])
         tol = rel * np.sqrt(np.einsum("ij,ij->i", phi_b, phi_b)) + eta
-        yield start, stop, phi_b, np.abs(q, out=q), tol
+        score = partial(exact_abs_dots, phi_b, X)
+        stop = start + phi_b.shape[0]
+        if cols == n2:  # one tile holds whole rows: settle from it
+            q = _abs_product(phi_b.astype(dtype, copy=False), Xs, buf)
+            if taken is None:
+                out[start:stop] = pick_argmax(q, tol, score)
+            else:
+                out[start:stop] = pick_distinct_argmax(q, taken, tol, score)
+            continue
+        phi_c = phi_b.astype(dtype, copy=False)
+        best, top, second = _top_two(phi_c, Xs, cols)
+        # as in pick_argmax: top - tol rounded to the screen's dtype and
+        # one step down, so the cut is never above it
+        cut = np.nextafter((top - tol).astype(dtype), -np.inf)
+        out[start:stop] = _settle(
+            best, second >= cut, taken,
+            lambda r: _abs_product(phi_c[r], Xs), batch, tol, score,
+        )
+    return out
 
 
 def srs_select_indices(
@@ -163,34 +292,30 @@ def srs_select_indices(
     to the lowest column index.  Without replacement, columns picked by
     earlier rows are excluded before taking the argmax.  The score is
     ``exact_abs_dots``, a fixed-order float64 sum, so the picks depend
-    on (X, phi) alone, not on the BLAS, its threads or the block layout.
+    on (X, phi) alone, not on the BLAS, its threads or the tile layout.
     It is evaluated only for the columns a fast |phi . X| screen cannot
-    tell apart.  The screen is streamed in row blocks sized to the data
-    (see ``abs_projection_blocks``), so one block, of at most
-    ``_BLOCK_BYTES``, is held at a time, never the dense n x N2 matrix,
-    plus a float32 copy of X when it has ``_FLOAT32_MIN_N1`` rows or more.
+    tell apart.  The screen is computed and reduced in tiles that stay in
+    cache (see ``_tile_shape``).  Only rows that may hold a second
+    candidate, or whose pick an earlier row took, are screened again,
+    whole, in batches of at most ``_MIN_FULL_ROWS`` rows and 8 tiles (but
+    at least one row).  Selection holds one tile of at most
+    ``_TILE_BYTES`` or one such batch at a time, never the dense n x N2
+    matrix, plus a float32 copy of X when it has ``_FLOAT32_MIN_N1`` rows
+    or more.  X is checked in one pass over it.
     """
-    X = as_matrix(X)
+    X, norms = as_matrix_with_norms(X)
     phi = as_matrix(phi)
     if phi.shape[1] != X.shape[0]:
         raise ShapeError(
             f"phi has {phi.shape[1]} columns, data has {X.shape[0]} rows"
         )
-    check_unit_columns(X)
+    check_unit_columns(X, norms)
     n = phi.shape[0]
     if not with_replacement and n > X.shape[1]:
         raise TooManySamplesError(
             f"requested {n} distinct columns from {X.shape[1]}"
         )
-    out = np.empty(n, dtype=np.int64)
-    taken = np.zeros(X.shape[1], dtype=bool)
-    for start, stop, phi_b, q, tol in abs_projection_blocks(X, phi):
-        score = partial(exact_abs_dots, phi_b, X)
-        if with_replacement:
-            out[start:stop] = pick_argmax(q, tol, score)
-        else:
-            out[start:stop] = pick_distinct_argmax(q, taken, tol, score)
-    return out
+    return srs_select_unchecked(X, phi, with_replacement)
 
 
 def _sketch(M, idx, method, with_replacement):
@@ -202,19 +327,26 @@ def _sketch(M, idx, method, with_replacement):
     )
 
 
+def _spatial_input(X: np.ndarray, n: int, distinct: bool) -> np.ndarray:
+    """``X`` checked for ``n`` spatial draws, distinct or not: its entries,
+    then ``n``, then its column norms, from one pass over X."""
+    X, norms = as_matrix_with_norms(X)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if distinct and n > X.shape[1]:
+        raise TooManySamplesError(
+            f"requested {n} distinct columns from {X.shape[1]}"
+        )
+    return check_unit_columns(X, norms)
+
+
 def srs_without_replacement(
     X: np.ndarray, n: int, rng: np.random.Generator
 ) -> SketchResult:
     """Spatial sampling of n distinct columns of unit-norm ``X``."""
-    X = as_matrix(X)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > X.shape[1]:
-        raise TooManySamplesError(
-            f"requested {n} distinct columns from {X.shape[1]}"
-        )
+    X = _spatial_input(X, n, distinct=True)
     phi = sample_gaussian_directions(n, X.shape[0], rng)
-    idx = srs_select_indices(X, phi, with_replacement=False)
+    idx = srs_select_unchecked(X, phi, with_replacement=False)
     return _sketch(X, idx, "srs", False)
 
 
@@ -222,11 +354,9 @@ def srs_with_replacement(
     X: np.ndarray, n: int, rng: np.random.Generator
 ) -> SketchResult:
     """Spatial sampling of n columns, one independent draw per direction."""
-    X = as_matrix(X)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    X = _spatial_input(X, n, distinct=False)
     phi = sample_gaussian_directions(n, X.shape[0], rng)
-    idx = srs_select_indices(X, phi, with_replacement=True)
+    idx = srs_select_unchecked(X, phi, with_replacement=True)
     return _sketch(X, idx, "srs_repl", True)
 
 

@@ -298,3 +298,14 @@ def test_trials_below_one_rejected(run):
     D, labels = arc_data(1.0, 1.0, 10, 10, seed=24)
     with pytest.raises(ValueError, match="trials must be >= 1"):
         run(D, labels)
+
+
+@pytest.mark.parametrize("sketch_n, seeds, message", [
+    (5, 0, "seeds must be >= 1"),
+    (0, 2, "sketch_n must be >= 1"),
+])
+def test_kmeans_balance_counts_below_one_rejected(sketch_n, seeds, message):
+    # with no seeds the report would have a header and no rows
+    D, labels = arc_data(1.0, 1.0, 10, 10, seed=24)
+    with pytest.raises(ValueError, match=message):
+        kmeans_balance_experiment(D, labels, 2, sketch_n, seeds, 0)

@@ -355,7 +355,24 @@ def test_non_utf8_argument_is_usage_error_before_any_write(
       "--methods", "srs,ris", "--n", 5, "--trials", 0, "--seed", 1,
       "--svg", "{svg}"),
      "trials must be >= 1"),
-], ids=["bounds", "kmeans", "rank-curve", "coverage"])
+    (("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
+      "--sketch-n", 10, "--seeds", 0, "--seed", 1),
+     "seeds must be >= 1"),
+    (("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
+      "--sketch-n", 0, "--seeds", 1, "--seed", 1),
+     "sketch_n must be >= 1"),
+    (("exp", "probability", "--matrix", "{mat}", "--labels", "{lab}",
+      "--draws", 0, "--seed", 1, "--estimator", "srs"),
+     "draws must be >= 1"),
+    (("exp", "probability", "--matrix", "{mat}", "--labels", "{lab}",
+      "--draws", 0, "--seed", 1, "--estimator", "directions"),
+     "draws must be >= 1"),
+    (("exp", "probability", "--matrix", "{mat}", "--labels", "{lab}",
+      "--draws", 0, "--seed", 1, "--estimator", "both"),
+     "draws must be >= 1"),
+], ids=["bounds", "kmeans", "rank-curve", "coverage", "kmeans-seeds",
+        "kmeans-sketch-n", "probability-srs", "probability-directions",
+        "probability-both"])
 def test_counts_below_one_exit_one_before_writing(tmp_path, capsys, argv,
                                                   message):
     mat, lab = gen_arcs(tmp_path, n1=20, n2=20)

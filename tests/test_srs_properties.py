@@ -6,6 +6,9 @@ checked against an independent implementation on many small instances.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,15 +18,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from test_kernels import oracle_pick_distinct_argmax
 
+import srskit
 from srskit import (
     ArcSpec,
     ClusterLabels,
+    NotNormalizedError,
+    ShapeError,
+    TooManySamplesError,
     estimate_region_areas,
     gen_arc_clusters,
     normalize_columns,
     samplers,
     srs_select_indices,
     srs_with_replacement,
+    srs_without_replacement,
 )
 
 
@@ -107,11 +115,26 @@ def test_column_scaling_of_data_is_irrelevant_after_normalization():
 
 
 # ---------------------------------------------------------------------------
-# row-blocked |phi . X| against the dense matrix
+# the tiled |phi . X| screen against the dense matrix
+
+# (rows, columns) of a screen tile: 1-column tiles, 3-column tiles (the
+# last one partial unless 3 divides N2), 17-row tiles of 5 columns (rows
+# screened again then go several to a batch), row groups of 1 and 3
+# spanning every column (None), and the default layout
+LAYOUTS = [(1, 1), (3, 1), (1, 3), (3, 3), (17, 5), (1, None), (3, None), "default"]
+DEFAULT_TILE_SHAPE = samplers._tile_shape
 
 
-def set_block_rows(monkeypatch, rows, n2):
-    monkeypatch.setattr(samplers, "_BLOCK_BYTES", 8 * n2 * rows)
+def tile_shape(layout):
+    """A stand-in for ``samplers._tile_shape`` that returns ``layout``."""
+    if layout == "default":
+        return DEFAULT_TILE_SHAPE
+    rows, cols = layout
+    return lambda Xs, n: (rows, Xs.shape[1] if cols is None else min(cols, Xs.shape[1]))
+
+
+def set_layout(monkeypatch, layout):
+    monkeypatch.setattr(samplers, "_tile_shape", tile_shape(layout))
 
 
 def dense_picks(X, phi, with_replacement):
@@ -131,9 +154,11 @@ def test_blocked_selection_matches_dense(monkeypatch, n, with_replacement):
     n2 = 40
     X = normalize_columns(rng.standard_normal((5, n2)))
     phi = rng.standard_normal((n, 5))
-    set_block_rows(monkeypatch, ROWS, n2)
-    got = srs_select_indices(X, phi, with_replacement=with_replacement)
-    assert (got == dense_picks(X, phi, with_replacement)).all()
+    want = dense_picks(X, phi, with_replacement)
+    for layout in LAYOUTS:
+        set_layout(monkeypatch, layout)
+        got = srs_select_indices(X, phi, with_replacement=with_replacement)
+        assert (got == want).all(), layout
 
 
 def canonical_abs_scores(X, phi):
@@ -178,12 +203,10 @@ def test_picks_do_not_depend_on_block_budget(
         normalize_columns(rng.standard_normal((n1, n2))), rng, duplicates)
     phi = rng.standard_normal((150, n1))
     want = canonical_picks(X, phi, with_replacement)
-    default = samplers._BLOCK_BYTES
-    # one row per block, three rows per block, and the default budget
-    for budget in [1, 3 * screen_itemsize(n1) * n2, default]:
-        monkeypatch.setattr(samplers, "_BLOCK_BYTES", budget)
+    for layout in LAYOUTS:
+        set_layout(monkeypatch, layout)
         got = srs_select_indices(X, phi, with_replacement=with_replacement)
-        assert (got == want).all()
+        assert (got == want).all(), layout
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -262,9 +285,12 @@ def near_tie_instances(draw):
 @pytest.mark.parametrize("cut", [1, 1 << 20])  # float32, float64 screen
 @settings(deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(near_tie_instances(), st.booleans())
-def test_screen_finds_the_exact_winner(monkeypatch, cut, instance, with_replacement):
+@given(near_tie_instances(), st.booleans(), st.sampled_from(LAYOUTS))
+def test_screen_finds_the_exact_winner(
+    monkeypatch, cut, instance, with_replacement, layout
+):
     monkeypatch.setattr(samplers, "_FLOAT32_MIN_N1", cut)
+    set_layout(monkeypatch, layout)
     X, phi = instance
     got = srs_select_indices(X, phi, with_replacement=with_replacement)
     assert list(got) == brute_force_picks(X, phi, with_replacement)
@@ -276,6 +302,7 @@ def test_screen_finds_the_exact_winner_seeded(monkeypatch, cut):
     # bound a few times too small fails here within a few hundred cases
     monkeypatch.setattr(samplers, "_FLOAT32_MIN_N1", cut)
     for seed in range(300):
+        set_layout(monkeypatch, LAYOUTS[seed % len(LAYOUTS)])
         rng = np.random.default_rng(seed)
         n1 = int(rng.integers(2, 7))
         X = normalize_columns(rng.standard_normal((n1, int(rng.integers(1, 6)))))
@@ -303,26 +330,37 @@ def integer_grid_instances(draw):
     cols = draw(arrays(np.int64, n2, elements=st.integers(0, 6)))
     n = draw(st.integers(1, n2))
     phi = draw(arrays(np.int64, (n, 4), elements=st.integers(-2, 2)))
-    rows = draw(st.integers(2, 4))
-    return UNIT_COLUMNS[:, cols], phi.astype(np.float64), rows
+    layout = draw(st.sampled_from(LAYOUTS))
+    return UNIT_COLUMNS[:, cols], phi.astype(np.float64), layout
 
 
 @settings(deadline=None, max_examples=60)
 @given(integer_grid_instances(), st.booleans())
 def test_blocked_selection_matches_dense_on_ties(instance, with_replacement):
-    X, phi, rows = instance
-    old = samplers._BLOCK_BYTES
-    samplers._BLOCK_BYTES = 8 * X.shape[1] * rows
+    X, phi, layout = instance
+    old = samplers._tile_shape
+    samplers._tile_shape = tile_shape(layout)
     try:
         got = srs_select_indices(X, phi, with_replacement=with_replacement)
     finally:
-        samplers._BLOCK_BYTES = old
+        samplers._tile_shape = old
     assert (got == dense_picks(X, phi, with_replacement)).all()
     assert (got == np.array(naive_spatial_pick(X, phi, with_replacement))).all()
 
 
+def selection_bytes(n1, n2):
+    """A bound on what selection holds at once: a tile and a batch of whole
+    screen rows screened again (it holds one or the other), the screen's
+    copy of X when it is float32, and 1 MiB of small temporaries."""
+    itemsize = screen_itemsize(n1)
+    copy = 4 * n1 * n2 if itemsize == 4 else 0
+    batch = samplers._MIN_FULL_ROWS * itemsize * n2
+    return samplers._TILE_BYTES + batch + copy + (1 << 20)
+
+
 def test_selection_memory_is_one_block():
-    # the dense path held two n x N2 float64 arrays: 2 * 8 * n * N2 bytes
+    # the dense path held two n x N2 float64 arrays: 2 * 8 * n * N2 bytes,
+    # and row blocks one of up to 16 MiB
     rng = np.random.default_rng(0)
     n, n2 = 256, 40_000
     X = normalize_columns(rng.standard_normal((8, n2)))
@@ -334,11 +372,11 @@ def test_selection_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < samplers._BLOCK_BYTES + (2 << 20)
+    assert peak < selection_bytes(8, n2) < 8 << 20
 
 
 def test_float32_selection_memory_is_one_block_and_one_copy():
-    # above the cut the screen adds one float32 copy of X to the block
+    # above the cut the screen adds one float32 copy of X to the tile
     rng = np.random.default_rng(0)
     n, n1, n2 = 256, 32, 40_000
     assert n1 >= samplers._FLOAT32_MIN_N1
@@ -351,7 +389,7 @@ def test_float32_selection_memory_is_one_block_and_one_copy():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < samplers._BLOCK_BYTES + 4 * n1 * n2 + (2 << 20)
+    assert peak < selection_bytes(n1, n2) < 4 * n1 * n2 + (6 << 20)
 
 
 def _arc_pair():
@@ -364,7 +402,8 @@ def _arc_pair():
     lambda D, labels, rng: estimate_region_areas(D, labels, 800, rng),
 ], ids=["srs_with_replacement", "estimate_region_areas"])
 def test_small_data_gets_small_blocks(monkeypatch, estimate):
-    # a fixed 16 MiB block was 200 times the data it screened
+    # a fixed 16 MiB block was 200 times the data it screened; a tile is
+    # 1 MiB here, 25 rows of every column
     D, labels = _arc_pair()
     tracemalloc.start()
     try:
@@ -374,5 +413,99 @@ def test_small_data_gets_small_blocks(monkeypatch, estimate):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
-    monkeypatch.setattr(samplers, "_MIN_BLOCK_BYTES", 16 << 20)
-    assert (estimate(D, labels, np.random.default_rng(3)) == got).all()
+    # a budget that makes 16-column tiles of 512 rows, and one of 16 MiB
+    for budget in [64 << 10, 32 << 20]:
+        monkeypatch.setattr(samplers, "_TILE_BYTES", budget)
+        assert (estimate(D, labels, np.random.default_rng(3)) == got).all()
+
+
+# ---------------------------------------------------------------------------
+# X is checked in one pass, its column norms; the errors and their order
+# are those of an entry-by-entry check followed by a norm check
+
+CALLERS = {
+    "srs_select_indices":
+        lambda X, n: srs_select_indices(X, np.ones((n, X.shape[0]))),
+    "srs_without_replacement":
+        lambda X, n: srs_without_replacement(X, n, np.random.default_rng(0)),
+    "srs_with_replacement":
+        lambda X, n: srs_with_replacement(X, n, np.random.default_rng(0)),
+    "estimate_region_areas": lambda X, n: estimate_region_areas(
+        X, ClusterLabels(np.zeros(X.shape[1], dtype=int), 1), n,
+        np.random.default_rng(0)),
+}
+
+
+def unit_data():
+    return normalize_columns(np.random.default_rng(0).standard_normal((3, 5)))
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_is_shape_error(caller, bad):
+    X = unit_data()
+    X[1, 2] = bad
+    with pytest.raises(ShapeError, match="non-finite"):
+        CALLERS[caller](X, 2)
+
+
+@pytest.mark.parametrize("caller", CALLERS)
+def test_entries_whose_squares_overflow_are_not_normalized(caller):
+    X = unit_data()
+    X[:, 3] = [1e200, -1e200, 0.0]  # finite, but the norm overflows
+    with pytest.raises(NotNormalizedError, match="column 3 has norm inf"):
+        CALLERS[caller](X, 2)
+
+
+@pytest.mark.parametrize("caller, entry, n, error", [
+    ("srs_select_indices", np.nan, 6, ShapeError),
+    ("srs_without_replacement", np.nan, 6, ShapeError),
+    ("srs_select_indices", 1e200, 6, NotNormalizedError),
+    ("srs_without_replacement", 1e200, 6, TooManySamplesError),
+    ("srs_with_replacement", np.nan, 0, ShapeError),
+    ("srs_with_replacement", 1e200, 0, ValueError),
+    ("estimate_region_areas", np.nan, 0, ShapeError),
+    ("estimate_region_areas", 1e200, 0, NotNormalizedError),
+])
+def test_bad_entry_and_bad_count_raise_in_order(caller, entry, n, error):
+    # n = 6 exceeds the 5 columns; n = 0 is below 1
+    X = unit_data()
+    X[0, 4] = entry
+    with pytest.raises(error) as info:
+        CALLERS[caller](X, n)
+    assert type(info.value) is error
+
+
+# selection in a fresh interpreter; prints the picks without and with
+# replacement, from the float32 screen and from a float64 one
+THREADS_SCRIPT = """
+import numpy as np
+from srskit import normalize_columns, samplers, srs_select_indices
+rng = np.random.default_rng(5)
+# 300 columns, each copied about 100 times: a GEMM rounds the copies of a
+# row's winner apart, differently as its threads split the columns, and
+# the exact score settles them
+Y = normalize_columns(rng.standard_normal((32, 300)))
+X = Y[:, rng.integers(0, 300, 30_000)]
+phi = rng.standard_normal((200, 32))
+for cut in (samplers._FLOAT32_MIN_N1, 1 << 20):
+    samplers._FLOAT32_MIN_N1 = cut
+    for with_replacement in (False, True):
+        print(list(srs_select_indices(X, phi, with_replacement)))
+"""
+
+
+def test_picks_do_not_depend_on_blas_threads():
+    # 200 x 32 x 1,310 tiles and 16-row batches: OpenBLAS runs each GEMM on
+    # both threads when it may use two, and then rounds the float64 screen
+    # differently (seen with OpenBLAS 0.3.31); the picks must not change
+    src = os.path.dirname(os.path.dirname(os.path.abspath(srskit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        outputs.append(subprocess.run(
+            [sys.executable, "-c", THREADS_SCRIPT], env=env, check=True,
+            capture_output=True, text=True, timeout=300).stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count("[") == 4
