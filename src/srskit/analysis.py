@@ -4,7 +4,8 @@ Drivers produce an :class:`ExperimentReport`, a flat table of
 ``(trial, method, x, cluster, value)`` rows that serializes to CSV.
 Every driver derives the generator for trial ``t`` as
 ``default_rng(master_seed + t)``, so trials are independent,
-order-insensitive, and bitwise reproducible.
+order-insensitive, and bitwise reproducible; the sampling drivers run
+their trials through ``_trials``, which owns that rule.
 """
 
 from __future__ import annotations
@@ -194,6 +195,20 @@ def empirical_sampling_probabilities(
 # experiment drivers
 
 
+def _trials(D, spec: SamplerSpec, trials: int, master_seed: int, prepare=True):
+    """``(t, sketch)`` for t = 0..trials-1: ``spec`` run on ``D`` with
+    ``default_rng(master_seed + t)``.  ``D`` goes through
+    ``sampler_input`` first when ``prepare``; ``trials`` is checked before.
+    """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    M = sampler_input(D, spec.method) if prepare else D
+    return (
+        (t, sample_columns(M, spec, np.random.default_rng(master_seed + t)))
+        for t in range(trials)
+    )
+
+
 def rank_curve(
     D: np.ndarray,
     spec: SamplerSpec,
@@ -214,17 +229,13 @@ def rank_curve(
         raise ValueError("n_grid must be ascending and non-empty")
     if min(n_grid) < 1:
         raise ValueError("grid sizes must be >= 1")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    M = sampler_input(D, spec.method)
     widest = dataclasses.replace(spec, n=max(n_grid))
-    rows = []
-    for t in range(trials):
-        rng = np.random.default_rng(master_seed + t)
-        result = sample_columns(M, widest, rng)
-        for n in n_grid:
-            rank = numerical_rank(M[:, result.indices[:n]], rel_tol)
-            rows.append((t, spec.method, n, None, float(rank)))
+    rows = [
+        (t, spec.method, n, None,
+         float(numerical_rank(sketch.columns[:, :n], rel_tol)))
+        for t, sketch in _trials(D, widest, trials, master_seed)
+        for n in n_grid
+    ]
     return ExperimentReport(
         tuple(rows),
         {"experiment": "rank_curve", "seed": master_seed, "trials": trials},
@@ -243,19 +254,14 @@ def coverage_experiment(
     D = as_matrix(D)
     if len(labels) != D.shape[1]:
         raise ValueError("labels length must match column count")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    s = labels.n_clusters
     rows = []
     for spec in specs:
         spec = dataclasses.replace(spec, n=n)
-        M = sampler_input(D, spec.method)
-        for t in range(trials):
-            rng = np.random.default_rng(master_seed + t)
-            result = sample_columns(M, spec, rng)
-            counts = np.bincount(labels.values[result.indices], minlength=s)
-            for cl in range(s):
-                rows.append((t, spec.method, n, cl, float(counts[cl])))
+        for t, sketch in _trials(D, spec, trials, master_seed):
+            counts = np.bincount(labels.values[sketch.indices],
+                                 minlength=labels.n_clusters)
+            rows += [(t, spec.method, n, cl, float(c))
+                     for cl, c in enumerate(counts)]
     return ExperimentReport(
         tuple(rows),
         {"experiment": "coverage", "seed": master_seed, "trials": trials, "n": n},
@@ -347,9 +353,18 @@ def _resolve_beta(p: BoundParams) -> float:
     floor = min_beta(p.m, p.delta)
     if p.beta is None:
         return floor
+    if not math.isfinite(p.beta):
+        raise BadBetaError(f"beta={p.beta} is not finite")
     if p.beta < floor - 1e-12:
         raise BadBetaError(f"beta={p.beta:.6g} below minimum {floor:.6g}")
     return p.beta
+
+
+def _finite(bound: float) -> float:
+    """``bound``; raise BadParamsError when an input drove it to inf or nan."""
+    if not math.isfinite(bound):
+        raise BadParamsError(f"bound {bound} is not finite")
+    return bound
 
 
 def lemma2_bound(p: BoundParams) -> float:
@@ -359,26 +374,27 @@ def lemma2_bound(p: BoundParams) -> float:
     if not 1 <= p.min_population <= p.n2:
         raise BadParamsError("need 1 <= min_population <= n2")
     beta = _resolve_beta(p)
-    return beta * p.m * p.n2 / p.min_population
+    return _finite(beta * p.m * p.n2 / p.min_population)
 
 
 def lemma3_bound(p: BoundParams) -> float:
     """Draws sufficient for m-per-cluster coverage by spatial sampling."""
     if p.tau1 is None or p.tau2 is None:
         raise BadParamsError("lemma3_bound needs tau1 and tau2")
-    if p.tau1 <= 0 or p.tau2 <= 0 or p.tau1 + p.tau2 >= math.pi:
+    # range checks here and in lemma4_bound are written so that NaN fails
+    if not (p.tau1 > 0 and p.tau2 > 0 and p.tau1 + p.tau2 < math.pi):
         raise BadArcLengthsError("need tau1, tau2 > 0 with tau1 + tau2 < pi")
     beta = _resolve_beta(p)
-    return beta * p.m * 2.0 * math.pi / (math.pi - abs(p.tau2 - p.tau1))
+    return _finite(beta * p.m * 2.0 * math.pi / (math.pi - abs(p.tau2 - p.tau1)))
 
 
 def lemma4_bound(p: BoundParams) -> float:
     """Draws sufficient for the sketch to span the full column space."""
     if p.r is None or p.s is None or not p.populations or p.min_p is None:
         raise BadParamsError("lemma4_bound needs r, s, populations, min_p")
-    if p.r < 1 or p.s < 1 or p.c <= 0 or not 0.0 < p.delta < 1.0:
+    if p.r < 1 or p.s < 1 or not p.c > 0 or not 0.0 < p.delta < 1.0:
         raise BadParamsError("need r, s >= 1, c > 0, 0 < delta < 1")
-    if p.min_p <= 0:
+    if not p.min_p > 0:
         raise BadParamsError("min_p must be positive")
     if any(pop < 1 for pop in p.populations):
         raise BadParamsError("populations must be >= 1")
@@ -386,67 +402,46 @@ def lemma4_bound(p: BoundParams) -> float:
     d = p.r / p.s
     xi_min = 10.0 * p.c * max(d, math.log(min(p.populations))) * log_2r
     xi_max = 10.0 * p.c * max(d, math.log(max(p.populations))) * log_2r
-    return (1.0 / p.min_p) * xi_max * (
+    return _finite((1.0 / p.min_p) * xi_max * (
         2.0 + (3.0 / xi_min) * math.log(2.0 * p.s / p.delta)
+    ))
+
+
+def lemma_empirical(which: str, arc_spec: ArcSpec, m: int, delta: float,
+                    trials: int, master_seed: int, beta: float | None = None):
+    """The bound of lemma ``which`` on arc data, and the fraction of
+    trials in which that many draws reach m columns in every cluster.
+
+    The arcs fix the lemma's other inputs: the populations for lemma2,
+    the arc lengths for lemma3.  Both lemmas draw with replacement,
+    uniformly over the indices (lemma2) or spatially (lemma3).
+    """
+    if which == "lemma2":
+        pops = (arc_spec.n1, arc_spec.n2)
+        params = BoundParams(m, delta, beta, n2=sum(pops), min_population=min(pops))
+        bound, method = lemma2_bound(params), "ris_repl"
+    elif which == "lemma3":
+        params = BoundParams(m, delta, beta, tau1=arc_spec.tau1, tau2=arc_spec.tau2)
+        bound, method = lemma3_bound(params), "srs_repl"
+    else:
+        raise ValueError(f"unknown lemma {which!r}")
+    D, labels = gen_arc_clusters(arc_spec)
+    spec = SamplerSpec(method, math.ceil(bound))
+    # the arcs are sampled as generated, unit up to rounding: normalizing
+    # them again would change their bits, and so could change a near-tie
+    hits = sum(
+        int(np.bincount(labels.values[sketch.indices],
+                        minlength=labels.n_clusters).min() >= m)
+        for _, sketch in _trials(D, spec, trials, master_seed, prepare=False)
     )
+    return bound, hits / trials
 
 
-def lemma2_empirical(
-    arc_spec: ArcSpec,
-    m: int,
-    delta: float,
-    trials: int,
-    master_seed: int,
-    beta: float | None = None,
-) -> float:
+def lemma2_empirical(arc_spec, m, delta, trials, master_seed, beta=None) -> float:
     """Fraction of trials where uniform draws at the bound reach m per cluster."""
-    D, labels = gen_arc_clusters(arc_spec)
-    params = BoundParams(
-        m=m,
-        delta=delta,
-        beta=beta,
-        n2=arc_spec.n1 + arc_spec.n2,
-        min_population=min(arc_spec.n1, arc_spec.n2),
-    )
-    n = math.ceil(lemma2_bound(params))
-    return _coverage_success_rate(
-        D, labels, m, n, trials, master_seed, spatial=False
-    )
+    return lemma_empirical("lemma2", arc_spec, m, delta, trials, master_seed, beta)[1]
 
 
-def lemma3_empirical(
-    arc_spec: ArcSpec,
-    m: int,
-    delta: float,
-    trials: int,
-    master_seed: int,
-    beta: float | None = None,
-) -> float:
+def lemma3_empirical(arc_spec, m, delta, trials, master_seed, beta=None) -> float:
     """Fraction of trials where spatial draws at the bound reach m per cluster."""
-    D, labels = gen_arc_clusters(arc_spec)
-    params = BoundParams(
-        m=m, delta=delta, beta=beta, tau1=arc_spec.tau1, tau2=arc_spec.tau2
-    )
-    n = math.ceil(lemma3_bound(params))
-    return _coverage_success_rate(
-        D, labels, m, n, trials, master_seed, spatial=True
-    )
-
-
-def _coverage_success_rate(D, labels, m, n, trials, master_seed, spatial):
-    # both lemmas assume sampling with replacement
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if n < 1:
-        return 0.0
-    spec = SamplerSpec("srs_repl" if spatial else "ris_repl", n)
-    successes = 0
-    for t in range(trials):
-        rng = np.random.default_rng(master_seed + t)
-        result = sample_columns(D, spec, rng)
-        counts = np.bincount(
-            labels.values[result.indices], minlength=labels.n_clusters
-        )
-        if counts.min() >= m:
-            successes += 1
-    return successes / trials
+    return lemma_empirical("lemma3", arc_spec, m, delta, trials, master_seed, beta)[1]

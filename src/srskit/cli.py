@@ -188,12 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--delta", type=float, required=True)
     bd.add_argument("--beta", type=float, default=None)
     bd.add_argument("--n2", type=int, default=None, help="total column count")
-    bd.add_argument("--min-pop", type=int, default=None)
+    bd.add_argument("--min-pop", type=int, default=None,
+                    dest="min_population", metavar="MIN_POP")
     bd.add_argument("--tau1", type=float, default=None)
     bd.add_argument("--tau2", type=float, default=None)
     bd.add_argument("--r", type=int, default=None)
     bd.add_argument("--s", type=int, default=None)
-    bd.add_argument("--pops", type=_int_list, default=None)
+    bd.add_argument("--pops", type=_int_list, default=None,
+                    dest="populations", metavar="POPS")
     bd.add_argument("--min-p", type=float, default=None)
     bd.add_argument("--c", type=float, default=1.0)
     bd.add_argument("--empirical", action="store_true",
@@ -417,7 +419,15 @@ def _cmd_exp_probability(args, echo):
 
 
 def _cmd_exp_bounds(args, echo):
-    if args.empirical:
+    if not args.empirical:
+        # the flags of exp bounds are named after the BoundParams fields
+        params = analysis.BoundParams(**{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(analysis.BoundParams)
+        })
+        value = getattr(analysis, f"{args.which}_bound")(params)
+        rows = [(0, f"{args.which}_bound", args.m, None, value)]
+    else:
         if args.which == "lemma4":
             raise UsageError("--empirical supports lemma2 and lemma3 only")
         needed = (args.tau1, args.tau2, args.arc_n1, args.arc_n2,
@@ -427,48 +437,21 @@ def _cmd_exp_bounds(args, echo):
                 "--empirical needs --tau1 --tau2 --arc-n1 --arc-n2 "
                 "--data-seed --trials --seed"
             )
-    if args.empirical and args.which == "lemma2":
-        # populations come from the arc spec in empirical mode
-        n2 = args.arc_n1 + args.arc_n2
-        min_pop = min(args.arc_n1, args.arc_n2)
-    else:
-        n2 = args.n2
-        min_pop = args.min_pop
-    params = analysis.BoundParams(
-        m=args.m,
-        delta=args.delta,
-        beta=args.beta,
-        n2=n2,
-        min_population=min_pop,
-        tau1=args.tau1,
-        tau2=args.tau2,
-        r=args.r,
-        s=args.s,
-        populations=args.pops,
-        min_p=args.min_p,
-        c=args.c,
-    )
-    calc = {
-        "lemma2": analysis.lemma2_bound,
-        "lemma3": analysis.lemma3_bound,
-        "lemma4": analysis.lemma4_bound,
-    }[args.which]
-    value = calc(params)
-    rows = [(0, f"{args.which}_bound", args.m, None, float(value))]
-    if args.empirical:
+        if args.which == "lemma2" and (args.n2, args.min_population) != (None, None):
+            raise UsageError("--empirical --which lemma2 takes the populations "
+                             "from --arc-n1 and --arc-n2, not --n2 or --min-pop")
         arc = ArcSpec(
             tau1=args.tau1, tau2=args.tau2, n1=args.arc_n1, n2=args.arc_n2,
             seed=args.data_seed,
         )
-        empirical = {
-            "lemma2": analysis.lemma2_empirical,
-            "lemma3": analysis.lemma3_empirical,
-        }[args.which]
-        rate = empirical(
-            arc, args.m, args.delta, args.trials, args.seed, beta=args.beta
+        value, rate = analysis.lemma_empirical(
+            args.which, arc, args.m, args.delta, args.trials, args.seed,
+            beta=args.beta,
         )
-        n_used = math.ceil(value)
-        rows.append((0, f"{args.which}_empirical", n_used, None, float(rate)))
+        rows = [
+            (0, f"{args.which}_bound", args.m, None, value),
+            (0, f"{args.which}_empirical", math.ceil(value), None, rate),
+        ]
     report = analysis.ExperimentReport(
         tuple(rows), {"experiment": "bounds", "which": args.which}
     )

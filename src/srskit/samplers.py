@@ -327,24 +327,24 @@ def _sketch(M, idx, method, with_replacement):
     )
 
 
-def _spatial_input(X: np.ndarray, n: int, distinct: bool) -> np.ndarray:
-    """``X`` checked for ``n`` spatial draws, distinct or not: its entries,
-    then ``n``, then its column norms, from one pass over X."""
-    X, norms = as_matrix_with_norms(X)
+def _checked(D: np.ndarray, n: int, distinct: bool):
+    """``D`` and its column norms, from one pass over it, checked for ``n``
+    draws, distinct or not: its entries, then ``n``, then its column count."""
+    D, norms = as_matrix_with_norms(D)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if distinct and n > X.shape[1]:
+    if distinct and n > D.shape[1]:
         raise TooManySamplesError(
-            f"requested {n} distinct columns from {X.shape[1]}"
+            f"requested {n} distinct columns from {D.shape[1]}"
         )
-    return check_unit_columns(X, norms)
+    return D, norms
 
 
 def srs_without_replacement(
     X: np.ndarray, n: int, rng: np.random.Generator
 ) -> SketchResult:
     """Spatial sampling of n distinct columns of unit-norm ``X``."""
-    X = _spatial_input(X, n, distinct=True)
+    X = check_unit_columns(*_checked(X, n, distinct=True))
     phi = sample_gaussian_directions(n, X.shape[0], rng)
     idx = srs_select_unchecked(X, phi, with_replacement=False)
     return _sketch(X, idx, "srs", False)
@@ -354,7 +354,7 @@ def srs_with_replacement(
     X: np.ndarray, n: int, rng: np.random.Generator
 ) -> SketchResult:
     """Spatial sampling of n columns, one independent draw per direction."""
-    X = _spatial_input(X, n, distinct=False)
+    X = check_unit_columns(*_checked(X, n, distinct=False))
     phi = sample_gaussian_directions(n, X.shape[0], rng)
     idx = srs_select_unchecked(X, phi, with_replacement=True)
     return _sketch(X, idx, "srs_repl", True)
@@ -364,15 +364,11 @@ def ris(
     D: np.ndarray, n: int, with_replacement: bool, rng: np.random.Generator
 ) -> SketchResult:
     """Uniform sampling over the column index set."""
-    D = as_matrix(D)
+    D, _ = _checked(D, n, not with_replacement)
     n2 = D.shape[1]
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if with_replacement:
         idx = rng.integers(0, n2, size=n)
         return _sketch(D, idx, "ris_repl", True)
-    if n > n2:
-        raise TooManySamplesError(f"requested {n} distinct columns from {n2}")
     idx = rng.permutation(n2)[:n]
     return _sketch(D, idx, "ris", False)
 
@@ -388,12 +384,8 @@ def norm_sampling(
     With ``squared`` (the usual convention) column j is drawn with
     probability ||d_j||^2 / ||D||_F^2; otherwise plain norms are used.
     """
-    D = as_matrix(D)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    w = np.einsum("ij,ij->j", D, D)
-    if not squared:
-        w = np.sqrt(w)
+    D, norms = _checked(D, n, distinct=False)
+    w = np.einsum("ij,ij->j", D, D) if squared else norms
     total = w.sum()
     if total == 0.0:
         raise ZeroMatrixError("all columns have zero norm")
@@ -408,9 +400,7 @@ def leverage_sampling(
     k: int | None = None,
 ) -> SketchResult:
     """i.i.d. draws from leverage scores of the top-k right singular vectors."""
-    D = as_matrix(D)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    D, _ = _checked(D, n, distinct=False)
     p = leverage_probabilities(D, k)
     idx = rng.choice(D.shape[1], size=n, p=p)
     return _sketch(D, idx, "leverage", True)
@@ -448,12 +438,8 @@ def volume_sampling(
     stay removed and a fresh pass starts on the remaining ones, until n
     total columns are collected.
     """
-    D = as_matrix(D)
+    D, _ = _checked(D, n, distinct=True)
     N1, n2 = D.shape
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > n2:
-        raise TooManySamplesError(f"requested {n} distinct columns from {n2}")
     tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
     uniforms = rng.random(n)
     active = np.ones(n2, dtype=bool)

@@ -33,7 +33,7 @@ from srskit import (
     rank_curve,
     report_values,
 )
-from srskit.analysis import _coverage_success_rate
+from srskit.analysis import lemma_empirical
 
 
 def arc_data(tau1, tau2, n1, n2, seed):
@@ -270,11 +270,6 @@ def test_lemma_empirical_quick():
     assert rate2 >= 0.9 - 0.02
 
 
-def test_success_rate_zero_draws():
-    D, labels = arc_data(1.0, 1.0, 10, 10, seed=23)
-    assert _coverage_success_rate(D, labels, 1, 0, 5, 0, spatial=False) == 0.0
-
-
 def test_report_undecodable_line_named(tmp_path):
     path = tmp_path / "r.csv"
     sample_report().to_csv(path, comment="cfg")
@@ -291,9 +286,10 @@ def test_report_undecodable_line_named(tmp_path):
     lambda D, labels: rank_curve(D, SamplerSpec("srs", 1), [2, 4], 0, 0),
     lambda D, labels: coverage_experiment(
         D, labels, [SamplerSpec("ris", 1)], 3, 0, 0),
-    lambda D, labels: _coverage_success_rate(
-        D, labels, 1, 3, 0, 0, spatial=True),
-], ids=["rank_curve", "coverage_experiment", "coverage_success_rate"])
+    lambda D, labels: lemma_empirical(
+        "lemma3", ArcSpec(tau1=1.0, tau2=1.0, n1=10, n2=10, seed=24),
+        1, 0.1, 0, 0),
+], ids=["rank_curve", "coverage_experiment", "lemma_empirical"])
 def test_trials_below_one_rejected(run):
     D, labels = arc_data(1.0, 1.0, 10, 10, seed=24)
     with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -309,3 +305,13 @@ def test_kmeans_balance_counts_below_one_rejected(sketch_n, seeds, message):
     D, labels = arc_data(1.0, 1.0, 10, 10, seed=24)
     with pytest.raises(ValueError, match=message):
         kmeans_balance_experiment(D, labels, 2, sketch_n, seeds, 0)
+
+
+def test_lemma_empirical_bound_and_rate():
+    arc = ArcSpec(tau1=1.2, tau2=0.6, n1=300, n2=40, seed=25)
+    bound, rate = lemma_empirical("lemma3", arc, 3, 0.1, 10, 26)
+    assert bound == lemma3_bound(BoundParams(m=3, delta=0.1, tau1=1.2,
+                                             tau2=0.6))
+    assert rate == lemma3_empirical(arc, 3, 0.1, 10, 26)
+    with pytest.raises(ValueError, match="unknown lemma 'lemma4'"):
+        lemma_empirical("lemma4", arc, 3, 0.1, 10, 26)

@@ -407,3 +407,77 @@ def test_exp_coverage_leverage_k_reaches_only_leverage(tmp_path):
         load_csv(mat), load_labels(lab),
         [SamplerSpec("leverage", 10, leverage_k=2)], 10, 3, 5)
     assert rows(with_k, ("leverage",)) == list(direct.rows)
+
+
+def test_exp_bounds_lemma2_empirical_rows(tmp_path):
+    # empirical lemma2 takes n2 and min_population from the arc populations
+    import math
+
+    from srskit import ArcSpec, BoundParams, lemma2_bound, lemma2_empirical
+
+    out = tmp_path / "b.csv"
+    assert run("exp", "bounds", "--which", "lemma2", "--m", 3,
+               "--delta", 0.1, "--empirical", "--tau1", 1.2, "--tau2", 0.6,
+               "--arc-n1", 300, "--arc-n2", 40, "--data-seed", 9,
+               "--trials", 20, "--seed", 10, "--out", out) == 0
+    rows = {m: (x, v) for _, m, x, _, v in load_report(out).rows}
+    bound = lemma2_bound(BoundParams(m=3, delta=0.1, n2=340, min_population=40))
+    arc = ArcSpec(tau1=1.2, tau2=0.6, n1=300, n2=40, seed=9)
+    assert rows == {
+        "lemma2_bound": (3, bound),
+        "lemma2_empirical": (math.ceil(bound),
+                             lemma2_empirical(arc, 3, 0.1, 20, 10)),
+    }
+
+
+@pytest.mark.parametrize("extra", [
+    ("--n2", 7), ("--min-pop", 99), ("--n2", 7, "--min-pop", 99),
+], ids=["n2", "min-pop", "both"])
+def test_exp_bounds_empirical_lemma2_rejects_population_flags(
+        tmp_path, capsys, extra):
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    rc = run("exp", "bounds", "--which", "lemma2", "--m", 3, "--delta", 0.1,
+             "--empirical", "--tau1", 1.2, "--tau2", 0.6, "--arc-n1", 30,
+             "--arc-n2", 4, "--data-seed", 9, "--trials", 2, "--seed", 1,
+             *extra, "--out", out)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert "--n2" in err and "--min-pop" in err and "--arc-n1" in err
+    assert not out.exists()
+
+
+_LEMMA2 = ("--which", "lemma2", "--m", 5, "--delta", 0.05, "--n2", 1000,
+           "--min-pop", 10)
+_LEMMA3 = ("--which", "lemma3", "--m", 3, "--delta", 0.1, "--tau1", 1.2,
+           "--tau2", 0.6)
+_LEMMA4 = ("--which", "lemma4", "--m", 1, "--delta", 0.1, "--r", 10,
+           "--s", 2, "--pops", "5,7", "--min-p", 0.3)
+_EMPIRICAL = _LEMMA3 + ("--empirical", "--arc-n1", 50, "--arc-n2", 50,
+                        "--data-seed", 0, "--trials", 2, "--seed", 1)
+
+
+@pytest.mark.parametrize("base, override, error", [
+    (_LEMMA2, ("--beta", "nan"), "BadBetaError"),
+    (_LEMMA2, ("--beta", "inf"), "BadBetaError"),
+    (_LEMMA2, ("--delta", "1e-320"), "BadParamsError"),
+    (_LEMMA3, ("--tau1", "nan"), "BadArcLengthsError"),
+    (_LEMMA4, ("--c", "nan"), "BadParamsError"),
+    (_LEMMA4, ("--min-p", "nan"), "BadParamsError"),
+    (_LEMMA4, ("--min-p", "1e-320"), "BadParamsError"),
+    (_EMPIRICAL, ("--beta", "inf"), "BadBetaError"),
+    (_EMPIRICAL, ("--delta", "1e-320"), "BadParamsError"),
+    (_EMPIRICAL, ("--beta", "nan"), "BadBetaError"),
+], ids=["beta-nan", "beta-inf", "delta-tiny", "tau1-nan", "c-nan",
+        "min-p-nan", "min-p-tiny", "empirical-beta-inf",
+        "empirical-delta-tiny", "empirical-beta-nan"])
+def test_exp_bounds_non_finite_exits_one_before_writing(
+        tmp_path, capsys, base, override, error):
+    # the later of two equal flags wins, so override replaces a base value
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert run("exp", "bounds", *base, *override, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert not out.exists()
