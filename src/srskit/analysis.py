@@ -11,6 +11,7 @@ their trials through ``_trials``, which owns that rule.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from contextlib import closing
@@ -25,13 +26,13 @@ from .matrix import (
     DEFAULT_RANK_TOL,
     ClusterLabels,
     as_matrix,
-    as_matrix_with_norms,
     check_unit_columns,
     normalize_columns,
     numerical_rank,
 )
 from .samplers import (
     SamplerSpec,
+    as_matrix_with_norms,
     sample_columns,
     sample_gaussian_directions,
     sampler_input,
@@ -342,6 +343,22 @@ class BoundParams:
     c: float = 1.0
 
 
+def _finite(fn):
+    """``fn``, raising BadParamsError where its inputs drive the result to
+    inf or nan, or an integer input is too large for a float."""
+    @functools.wraps(fn)
+    def bound(*args, **kwargs):
+        try:
+            value = fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise BadParamsError(f"an input is too large: {exc}") from None
+        if not math.isfinite(value):
+            raise BadParamsError(f"bound {value} is not finite")
+        return value
+    return bound
+
+
+@_finite
 def min_beta(m: int, delta: float) -> float:
     """Smallest beta the two-cluster bounds are stated for."""
     if m < 1 or not 0.0 < delta < 1.0:
@@ -360,13 +377,7 @@ def _resolve_beta(p: BoundParams) -> float:
     return p.beta
 
 
-def _finite(bound: float) -> float:
-    """``bound``; raise BadParamsError when an input drove it to inf or nan."""
-    if not math.isfinite(bound):
-        raise BadParamsError(f"bound {bound} is not finite")
-    return bound
-
-
+@_finite
 def lemma2_bound(p: BoundParams) -> float:
     """Draws sufficient for m-per-cluster coverage by uniform indexing."""
     if p.n2 is None or p.min_population is None:
@@ -374,9 +385,10 @@ def lemma2_bound(p: BoundParams) -> float:
     if not 1 <= p.min_population <= p.n2:
         raise BadParamsError("need 1 <= min_population <= n2")
     beta = _resolve_beta(p)
-    return _finite(beta * p.m * p.n2 / p.min_population)
+    return beta * p.m * p.n2 / p.min_population
 
 
+@_finite
 def lemma3_bound(p: BoundParams) -> float:
     """Draws sufficient for m-per-cluster coverage by spatial sampling."""
     if p.tau1 is None or p.tau2 is None:
@@ -385,9 +397,10 @@ def lemma3_bound(p: BoundParams) -> float:
     if not (p.tau1 > 0 and p.tau2 > 0 and p.tau1 + p.tau2 < math.pi):
         raise BadArcLengthsError("need tau1, tau2 > 0 with tau1 + tau2 < pi")
     beta = _resolve_beta(p)
-    return _finite(beta * p.m * 2.0 * math.pi / (math.pi - abs(p.tau2 - p.tau1)))
+    return beta * p.m * 2.0 * math.pi / (math.pi - abs(p.tau2 - p.tau1))
 
 
+@_finite
 def lemma4_bound(p: BoundParams) -> float:
     """Draws sufficient for the sketch to span the full column space."""
     if p.r is None or p.s is None or not p.populations or p.min_p is None:
@@ -402,9 +415,9 @@ def lemma4_bound(p: BoundParams) -> float:
     d = p.r / p.s
     xi_min = 10.0 * p.c * max(d, math.log(min(p.populations))) * log_2r
     xi_max = 10.0 * p.c * max(d, math.log(max(p.populations))) * log_2r
-    return _finite((1.0 / p.min_p) * xi_max * (
+    return (1.0 / p.min_p) * xi_max * (
         2.0 + (3.0 / xi_min) * math.log(2.0 * p.s / p.delta)
-    ))
+    )
 
 
 def lemma_empirical(which: str, arc_spec: ArcSpec, m: int, delta: float,

@@ -118,22 +118,6 @@ def column_norms_ok(X: np.ndarray, tol: float = NORM_TOL) -> bool:
     return bool(np.all(np.abs(column_norms(X) - 1.0) <= tol))
 
 
-def as_matrix_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
-    """``as_matrix(values)`` and its column norms, from one pass over the data.
-
-    A finite sum of squares proves every entry of its column finite, so
-    the entry-by-entry check of ``as_matrix`` runs only when a norm is
-    not finite: an entry is not, or its square overflows.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 2 and arr.size:
-        norms = column_norms(arr)
-        if np.isfinite(norms).all():
-            return arr, norms
-    arr = as_matrix(arr)
-    return arr, column_norms(arr)
-
-
 def check_unit_columns(X: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
     """Return ``X``; raise NotNormalizedError when a column norm is off 1
     by > NORM_TOL.

@@ -6,7 +6,14 @@ product along that direction.  That product is summed in float64 in a
 fixed order, so a pick depends on the data and the directions alone; a
 fast screen of |Phi . X|, computed and reduced in cache-sized tiles,
 decides which columns need the exact sum.  The data is checked once, in
-one pass over it, and then handed to ``srs_select_unchecked``.
+one pass over it, and then handed to ``srs_select_unchecked``.  Each
+direction picks its column independently, so the large passes over X
+(its check, its float32 copy, the screen and the rows screened again)
+are split into contiguous spans of whole tiles, one per worker thread,
+with unchanged picks (``_map_spans``).  There are cpus // blas_threads
+workers: the CPUs the process may run on, over the threads OpenBLAS runs
+a GEMM on.  Data whose float32 copy fits in one tile, or one worker,
+runs on the calling thread alone.
 Baselines cover uniform index sampling, norm-proportional sampling,
 leverage-score sampling, and adaptive residual (volume) sampling.
 
@@ -18,8 +25,9 @@ as ``default_rng(master_seed + trial_index)``.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -35,8 +43,8 @@ from .matrix import (
     NORM_TOL,
     SketchResult,
     as_matrix,
-    as_matrix_with_norms,
     check_unit_columns,
+    column_norms,
     singular_value_rank,
 )
 
@@ -76,6 +84,57 @@ _MAX_TILE_ROWS = 512
 # N1 = 2 and 20,000 columns a float32 screen left every row with
 # near-tied candidates to settle, and took twice the float64 time
 _FLOAT32_MIN_N1 = 4
+# the threads of _map_spans, made on its first split
+_pool = None
+
+
+def _workers() -> int:
+    """Threads a pass over X is split across: the CPUs this process may run
+    on, over the threads OpenBLAS runs a GEMM on (the first positive
+    integer in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else every CPU, as
+    OpenBLAS does); at least one.  On 2 CPUs with OpenBLAS on both, two
+    workers made selection slower: 85 against 79 ms, the medians of six
+    alternating runs (srs, n=400 on 100 x 50,000)."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    values = (os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas = next((int(v) for v in values if v.strip().isdigit() and int(v) > 0), cpus)
+    return max(1, cpus // blas)
+
+
+def _forget_pool():
+    global _pool
+    _pool = None
+
+
+def _map_spans(fn, X: np.ndarray, cols: int) -> list:
+    """``[fn(a, b)]`` over contiguous column spans [a, b) of ``X``, in order.
+
+    The spans are whole tiles of ``cols`` columns, at most one per worker
+    (``_workers``).  The first runs on the calling thread and the others on
+    a pool of threads: numpy's GEMMs and reductions release the GIL.  With
+    one worker, or data whose float32 copy fits in one tile (at most
+    ``_TILE_BYTES``), ``fn(0, N2)`` runs inline.  ``fn`` must not print,
+    start a process or call a sampler by its module name: a tracer that
+    rebinds those names keeps one span stack, for the calling thread.
+    """
+    n2 = X.shape[1]
+    tiles = -(-n2 // cols)
+    k = 1 if 4 * X.size <= _TILE_BYTES else min(_workers(), tiles)
+    if k == 1:
+        return [fn(0, n2)]
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor()
+        # a child forked later has none of the pool's threads
+        os.register_at_fork(after_in_child=_forget_pool)
+    edges = [min(n2, cols * (tiles * i // k)) for i in range(k + 1)]
+    rest = [_pool.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
+    return [fn(edges[0], edges[1])] + [f.result() for f in rest]
 
 
 @dataclass(frozen=True)
@@ -126,45 +185,53 @@ def _tile_shape(Xs: np.ndarray, n: int) -> tuple[int, int]:
     return rows, max(1, min(n2, budget // rows))
 
 
-def _abs_product(a: np.ndarray, b: np.ndarray, buf: np.ndarray | None = None):
-    """|a @ b|, computed in the front of the flat buffer ``buf`` if given.
+def _abs_product(a: np.ndarray, b: np.ndarray, q: np.ndarray):
+    """|a @ b|, computed in ``q``, or in its front if ``q`` is flat.
 
-    The output holds only finite values when the GEMM starts: a BLAS may
-    scale the output it overwrites by 0 (in a GEMV, say), and 0 * inf or
-    0 * nan raises numpy's "invalid value" warning.  So ``buf`` starts as
-    zeros, and a new output is zeroed too.
+    ``q`` holds only finite values when the GEMM starts: a BLAS may scale
+    the output it overwrites by 0 (in a GEMV, say), and 0 * inf or 0 * nan
+    raises numpy's "invalid value" warning.  So ``q`` starts as zeros.
     """
-    shape = (a.shape[0], b.shape[1])
-    if buf is None:
-        q = np.zeros(shape, b.dtype)
-    else:
-        q = buf[: shape[0] * shape[1]].reshape(shape)
+    if q.ndim == 1:
+        q = q[: a.shape[0] * b.shape[1]].reshape(a.shape[0], b.shape[1])
     np.matmul(a, b, out=q)
     return np.abs(q, out=q)
+
+
+def _lead(a, b):
+    """The (argmax, maximum, largest other entry) per row of two column
+    ranges, ``a`` before ``b``: ``b`` leads only where it is strictly
+    larger, so ties go to the lowest index, however the columns are split."""
+    (ka, ta, sa), (kb, tb, sb) = a, b
+    up = tb > ta
+    return (np.where(up, kb, ka), np.where(up, tb, ta),
+            np.where(up, np.maximum(ta, sb), np.maximum(sa, tb)))
 
 
 def _top_two(phi_c: np.ndarray, Xs: np.ndarray, cols: int):
     """Per row of |phi_c @ Xs|: the argmax (ties to the lowest index), the
     maximum and the largest other entry.  The screen is computed and
-    reduced ``cols`` columns at a time, each tile while it is in cache."""
-    # freed on return, before any row is screened again or scored exactly
-    buf = np.zeros(phi_c.shape[0] * cols, Xs.dtype)
+    reduced ``cols`` columns at a time, each tile while it is in cache,
+    and a span of tiles per worker."""
     r = np.arange(phi_c.shape[0])
-    best = np.zeros(r.size, dtype=np.int64)
-    top = np.full(r.size, -np.inf, dtype=Xs.dtype)
-    second = top.copy()
-    for c in range(0, Xs.shape[1], cols):
-        q = _abs_product(phi_c, Xs[:, c : c + cols], buf)
+
+    def tile(q, c):
         k = q.argmax(axis=1)
         t = q[r, k]
         q[r, k] = -np.inf
         s = q.max(axis=1)
         q[r, k] = t  # finite again before the next GEMM (see _abs_product)
-        up = t > top  # a later tile leads only when strictly larger
-        second = np.where(up, np.maximum(top, s), np.maximum(second, t))
-        top = np.where(up, t, top)
-        best = np.where(up, k + c, best)
-    return best, top, second
+        return k + c, t, s
+
+    def span(a, b):
+        # one tile buffer per worker, freed on return: before any row is
+        # screened again or scored exactly
+        buf = np.zeros(r.size * cols, Xs.dtype)
+        return reduce(_lead, (
+            tile(_abs_product(phi_c, Xs[:, c : c + cols], buf), c)
+            for c in range(a, b, cols)))
+
+    return reduce(_lead, _map_spans(span, Xs, cols))
 
 
 def _settle(best, need, taken, screen, batch, tol, score):
@@ -230,10 +297,13 @@ def srs_select_unchecked(
     if _FLOAT32_MIN_N1 <= n1 < 1 << 20:
         # in C order: the GEMM of a few rows screened again packs an
         # F-ordered copy slowly (16 rows of 100 x 50,000: 2.7 times the time)
-        Xs = X.astype(np.float32, order="C")
+        Xs = np.empty((n1, n2), np.float32)
     else:
         Xs = X
     dtype = Xs.dtype
+    rows, cols = _tile_shape(Xs, n)
+    if Xs is not X:
+        _map_spans(lambda a, b: np.copyto(Xs[:, a:b], X[:, a:b]), Xs, cols)
     u64 = np.finfo(np.float64).eps / 2
     # Higham (Accuracy and Stability of Numerical Algorithms, 3.1): the
     # screen's two casts and its sum round by at most gamma_{N1+2}(u) and
@@ -246,7 +316,6 @@ def srs_select_unchecked(
         * (1 + NORM_TOL) * (1 + _gamma(n1 + 8, u64))
     )
     eta = 16 * n1 * float(np.finfo(dtype).tiny)
-    rows, cols = _tile_shape(Xs, n)
     buf = np.zeros(rows * n2, dtype) if cols == n2 else None
     # rows screened again go in batches of _MIN_FULL_ROWS, so that each GEMM
     # packs X for as many rows as a full-width tile does, but of at most
@@ -276,11 +345,35 @@ def srs_select_unchecked(
         # as in pick_argmax: top - tol rounded to the screen's dtype and
         # one step down, so the cut is never above it
         cut = np.nextafter((top - tol).astype(dtype), -np.inf)
+
+        def screen(r):
+            # whole rows, each worker filling its span of them
+            q = np.zeros((r.size, n2), dtype)
+            _map_spans(lambda a, b: _abs_product(
+                phi_c[r], Xs[:, a:b], q[:, a:b]), Xs, cols)
+            return q
+
         out[start:stop] = _settle(
-            best, second >= cut, taken,
-            lambda r: _abs_product(phi_c[r], Xs), batch, tol, score,
-        )
+            best, second >= cut, taken, screen, batch, tol, score)
     return out
+
+
+def as_matrix_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix(values)`` and its column norms, from one pass over the data
+    (split across workers, see ``_map_spans``).
+
+    A finite sum of squares proves every entry of its column finite, so
+    the entry-by-entry check of ``as_matrix`` runs only when a norm is
+    not finite: an entry is not, or its square overflows.
+    """
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 2 and arr.size:
+        parts = _map_spans(lambda a, b: column_norms(arr[:, a:b]), arr, 1)
+        norms = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if np.isfinite(norms).all():
+            return arr, norms
+    # raises, unless it is a square that overflowed
+    return as_matrix(arr), norms
 
 
 def srs_select_indices(
@@ -299,9 +392,9 @@ def srs_select_indices(
     candidate, or whose pick an earlier row took, are screened again,
     whole, in batches of at most ``_MIN_FULL_ROWS`` rows and 8 tiles (but
     at least one row).  Selection holds one tile of at most
-    ``_TILE_BYTES`` or one such batch at a time, never the dense n x N2
-    matrix, plus a float32 copy of X when it has ``_FLOAT32_MIN_N1`` rows
-    or more.  X is checked in one pass over it.
+    ``_TILE_BYTES`` per worker (see ``_map_spans``) or one such batch at a
+    time, never the dense n x N2 matrix, plus a float32 copy of X when it
+    has ``_FLOAT32_MIN_N1`` rows or more.  X is checked in one pass over it.
     """
     X, norms = as_matrix_with_norms(X)
     phi = as_matrix(phi)

@@ -75,6 +75,9 @@ def validate_arc_spec(spec: ArcSpec) -> None:
     """Raise BadArcLengthsError / ArcOverlapError on invalid geometry."""
     if spec.n1 < 1 or spec.n2 < 1:
         raise BadArcLengthsError("populations n1, n2 must be >= 1")
+    geometry = (spec.tau1, spec.tau2, spec.center1, spec.center2)
+    if not all(map(math.isfinite, geometry)):
+        raise BadArcLengthsError("arc lengths and centers must be finite")
     if spec.tau1 <= 0 or spec.tau2 <= 0:
         raise BadArcLengthsError("arc lengths must be positive")
     if spec.tau1 + spec.tau2 >= math.pi:

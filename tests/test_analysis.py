@@ -195,6 +195,21 @@ def test_min_beta_and_validation():
         min_beta(5, 1.5)
 
 
+HUGE = 10**400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("bound", [
+    lambda: min_beta(HUGE, 0.1),
+    lambda: lemma2_bound(BoundParams(m=5, delta=0.1, n2=HUGE, min_population=10)),
+    lambda: lemma3_bound(BoundParams(m=HUGE, delta=0.1, tau1=1.0, tau2=1.0)),
+    lambda: lemma4_bound(BoundParams(m=1, delta=0.1, r=HUGE, s=1,
+                                     populations=(5, 5), min_p=0.1)),
+], ids=["min_beta-m", "lemma2-n2", "lemma3-m", "lemma4-r"])
+def test_integer_too_large_for_a_float_is_bad_params(bound):
+    with pytest.raises(BadParamsError, match="too large"):
+        bound()
+
+
 def test_lemma2_bound_frozen_value():
     p = BoundParams(m=5, delta=0.05, n2=1000, min_population=10)
     assert abs(lemma2_bound(p) - 2314.6079904021644) < 1e-9

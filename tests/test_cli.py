@@ -481,3 +481,40 @@ def test_exp_bounds_non_finite_exits_one_before_writing(
     err = capsys.readouterr().err
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+HUGE = "1" + "0" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize("base, override", [
+    (_LEMMA2, ("--n2", HUGE)),
+    (_LEMMA2, ("--m", HUGE)),
+    (_LEMMA3, ("--m", HUGE)),
+    (_LEMMA4, ("--r", HUGE)),
+], ids=["lemma2-n2", "lemma2-m", "lemma3-m", "lemma4-r"])
+def test_exp_bounds_integer_too_large_exits_one_before_writing(
+        tmp_path, capsys, base, override):
+    # these ended in an OverflowError traceback
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert run("exp", "bounds", *base, *override, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("BadParamsError: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tau1", "nan"), ("--tau2", "inf"), ("--center1", "nan"),
+    ("--center2", "inf"),
+])
+def test_gen_arcs_non_finite_exits_one_before_writing(tmp_path, capsys, flag,
+                                                      value):
+    # a NaN arc length reached save_csv, which stopped its NaN columns
+    mat, lab = tmp_path / "D.csv", tmp_path / "L.csv"
+    capsys.readouterr()
+    assert run("gen", "arcs", "--tau1", 1.2, "--tau2", 0.6, "--n1", 5,
+               "--n2", 5, "--seed", 0, flag, value,
+               "--out-matrix", mat, "--out-labels", lab) == 1
+    assert capsys.readouterr().err == (
+        "BadArcLengthsError: arc lengths and centers must be finite\n")
+    assert list(tmp_path.iterdir()) == []

@@ -7,9 +7,13 @@ checked against an independent implementation on many small instances.
 
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from srskit import (
     srs_with_replacement,
     srs_without_replacement,
 )
+from srskit.matrix import column_norms
 
 
 def naive_spatial_pick(X, phi, with_replacement=False):
@@ -348,19 +353,21 @@ def test_blocked_selection_matches_dense_on_ties(instance, with_replacement):
     assert (got == np.array(naive_spatial_pick(X, phi, with_replacement))).all()
 
 
-def selection_bytes(n1, n2):
-    """A bound on what selection holds at once: a tile and a batch of whole
-    screen rows screened again (it holds one or the other), the screen's
-    copy of X when it is float32, and 1 MiB of small temporaries."""
+def selection_bytes(n1, n2, workers=1):
+    """A bound on what selection holds at once: a tile per worker and a
+    batch of whole screen rows screened again (it holds one or the other),
+    the screen's copy of X when it is float32, and 1 MiB of small
+    temporaries."""
     itemsize = screen_itemsize(n1)
     copy = 4 * n1 * n2 if itemsize == 4 else 0
     batch = samplers._MIN_FULL_ROWS * itemsize * n2
-    return samplers._TILE_BYTES + batch + copy + (1 << 20)
+    return workers * samplers._TILE_BYTES + batch + copy + (1 << 20)
 
 
 def test_selection_memory_is_one_block():
     # the dense path held two n x N2 float64 arrays: 2 * 8 * n * N2 bytes,
-    # and row blocks one of up to 16 MiB
+    # and row blocks one of up to 16 MiB; the 1.28 MB float32 copy of X
+    # fits in one tile, so selection runs on one thread
     rng = np.random.default_rng(0)
     n, n2 = 256, 40_000
     X = normalize_columns(rng.standard_normal((8, n2)))
@@ -375,21 +382,25 @@ def test_selection_memory_is_one_block():
     assert peak < selection_bytes(8, n2) < 8 << 20
 
 
-def test_float32_selection_memory_is_one_block_and_one_copy():
-    # above the cut the screen adds one float32 copy of X to the tile
+def test_float32_selection_memory_is_one_block_and_one_copy(monkeypatch):
+    # above the cut the screen adds one float32 copy of X to the tiles, one
+    # tile per worker
     rng = np.random.default_rng(0)
     n, n1, n2 = 256, 32, 40_000
     assert n1 >= samplers._FLOAT32_MIN_N1
     X = normalize_columns(rng.standard_normal((n1, n2)))
     phi = rng.standard_normal((n, n1))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        srs_select_indices(X, phi)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak < selection_bytes(n1, n2) < 4 * n1 * n2 + (6 << 20)
+    for workers in (1, 3):
+        monkeypatch.setattr(samplers, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            srs_select_indices(X, phi)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < selection_bytes(n1, n2, workers) < (
+            4 * n1 * n2 + (6 << 20) + (workers - 1) * samplers._TILE_BYTES)
 
 
 def _arc_pair():
@@ -476,36 +487,196 @@ def test_bad_entry_and_bad_count_raise_in_order(caller, entry, n, error):
     assert type(info.value) is error
 
 
-# selection in a fresh interpreter; prints the picks without and with
-# replacement, from the float32 screen and from a float64 one
+# selection in a fresh interpreter; prints its worker count to stderr, and
+# the picks without and with replacement, from the float32 screen and from
+# a float64 one
 THREADS_SCRIPT = """
+import sys
 import numpy as np
 from srskit import normalize_columns, samplers, srs_select_indices
 rng = np.random.default_rng(5)
-# 300 columns, each copied about 100 times: a GEMM rounds the copies of a
+# 300 columns, each copied about 130 times: a GEMM rounds the copies of a
 # row's winner apart, differently as its threads split the columns, and
 # the exact score settles them
 Y = normalize_columns(rng.standard_normal((32, 300)))
-X = Y[:, rng.integers(0, 300, 30_000)]
+X = Y[:, rng.integers(0, 300, 40_000)]
 phi = rng.standard_normal((200, 32))
+print(samplers._workers(), file=sys.stderr)
 for cut in (samplers._FLOAT32_MIN_N1, 1 << 20):
     samplers._FLOAT32_MIN_N1 = cut
+    Xs = X.astype(np.float32) if cut < 32 else X
+    # tiles of 200 rows and part of the columns, above the gate of a split
+    assert samplers._tile_shape(Xs, 200)[1] < X.shape[1]
+    assert 4 * X.size > samplers._TILE_BYTES
     for with_replacement in (False, True):
         print(list(srs_select_indices(X, phi, with_replacement)))
 """
 
 
 def test_picks_do_not_depend_on_blas_threads():
-    # 200 x 32 x 1,310 tiles and 16-row batches: OpenBLAS runs each GEMM on
-    # both threads when it may use two, and then rounds the float64 screen
-    # differently (seen with OpenBLAS 0.3.31); the picks must not change
+    # 200 x 32 x 2,621 and 200 x 32 x 1,310 tiles, and 16-row batches:
+    # OpenBLAS runs each GEMM on both threads when it may use two, and then
+    # rounds the float64 screen differently (seen with OpenBLAS 0.3.31).
+    # With one BLAS thread on two CPUs or more the screen is split across
+    # threads instead; the picks must not change
     src = os.path.dirname(os.path.dirname(os.path.abspath(srskit.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    outputs = []
+    outputs, workers = [], []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        outputs.append(subprocess.run(
+        run = subprocess.run(
             [sys.executable, "-c", THREADS_SCRIPT], env=env, check=True,
-            capture_output=True, text=True, timeout=300).stdout)
+            capture_output=True, text=True, timeout=300)
+        outputs.append(run.stdout)
+        workers.append(int(run.stderr))
     assert outputs[0] == outputs[1]
     assert outputs[0].count("[") == 4
+    cpus = len(os.sched_getaffinity(0))
+    assert workers == [cpus, max(1, cpus // 2)]
+
+
+# ---------------------------------------------------------------------------
+# the passes over X split into column spans, one per worker
+
+
+@pytest.mark.parametrize("openblas, omp, workers", [
+    (None, None, 1), ("1", None, 4), ("2", None, 2), ("abc", None, 1),
+    (None, "2", 2), ("0", "1", 4), ("abc", "2", 2), ("3", "1", 1), ("8", None, 1),
+])
+def test_worker_count_is_cpus_over_blas_threads(monkeypatch, openblas, omp, workers):
+    # on 4 CPUs: OpenBLAS runs on every CPU unless a variable says otherwise
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+        if value is None:
+            monkeypatch.delenv(var, raising=False)
+        else:
+            monkeypatch.setenv(var, value)
+    assert samplers._workers() == workers
+
+
+def spans(monkeypatch, workers, n1, n2, cols):
+    monkeypatch.setattr(samplers, "_workers", lambda: workers)
+    return samplers._map_spans(
+        lambda a, b: (a, b, threading.get_ident()), np.zeros((n1, n2)), cols)
+
+
+def test_spans_are_whole_tiles_one_per_worker(monkeypatch):
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 1 << 10)
+    # 10 tiles of 7 columns, the last of 3: 3 spans of 3, 3 and 4 tiles
+    got = spans(monkeypatch, 3, 4, 66, 7)
+    assert [(a, b) for a, b, _ in got] == [(0, 21), (21, 42), (42, 66)]
+    assert got[0][2] == threading.get_ident()
+    assert got[1][2] != threading.get_ident() and got[2][2] != threading.get_ident()
+    # no more spans than tiles
+    assert [(a, b) for a, b, _ in spans(monkeypatch, 5, 100, 66, 30)] == [
+        (0, 30), (30, 60), (60, 66)]
+    # one worker, or data whose float32 copy fits in one tile: inline
+    assert spans(monkeypatch, 1, 100, 66, 7) == [(0, 66, threading.get_ident())]
+    assert spans(monkeypatch, 3, 4, 64, 7) == [(0, 64, threading.get_ident())]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_norms_are_the_serial_norms(monkeypatch, order, workers):
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 1 << 10)
+    monkeypatch.setattr(samplers, "_workers", lambda: workers)
+    rng = np.random.default_rng(workers)
+    X = rng.standard_normal((37, 501)) * rng.uniform(1e-3, 1e3, size=501)
+    X = np.asarray(X, order=order)
+    D, norms = samplers.as_matrix_with_norms(X)
+    assert D is X
+    assert np.array_equal(norms, column_norms(X))
+
+
+def copied_columns(n1, rng):
+    """6,000 unit columns: 40 columns, each copied about 150 times."""
+    Y = normalize_columns(rng.standard_normal((n1, 40)))
+    return Y[:, rng.integers(0, 40, 6000)]
+
+
+@pytest.mark.parametrize("copied", [True, False])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_screen_reduction_does_not_depend_on_worker_count(
+    monkeypatch, dtype, copied
+):
+    # the spans are merged by the rule that merges tiles, so the screen's
+    # argmax (ties to the lowest index, also between spans), maximum and
+    # runner-up are those of the whole screen, whatever the worker count
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 64 << 10)
+    rng = np.random.default_rng(2)
+    X = copied_columns(40, rng) if copied else normalize_columns(
+        rng.standard_normal((40, 6000)))
+    Xs = X.astype(dtype)
+    phi = rng.standard_normal((300, 40)).astype(dtype)
+    cols = 54
+    assert 4 * Xs.size > samplers._TILE_BYTES
+    # the screen, by the same GEMMs as its tiles
+    screen = np.hstack([np.abs(phi @ Xs[:, c : c + cols])
+                        for c in range(0, Xs.shape[1], cols)])
+    top2 = np.sort(screen, axis=1)[:, -2:]
+    if copied:  # every row's maximum is tied
+        assert (top2[:, 0] == top2[:, 1]).all()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(samplers, "_workers", lambda: workers)
+        best, top, second = samplers._top_two(phi, Xs, cols)
+        assert (best == screen.argmax(axis=1)).all()
+        assert top.dtype == second.dtype == dtype
+        assert (top == top2[:, 1]).all() and (second == top2[:, 0]).all()
+
+
+@pytest.mark.parametrize("with_replacement", [False, True])
+@pytest.mark.parametrize("n1", [3, 40])  # a float64 and a float32 screen
+def test_picks_do_not_depend_on_worker_count(monkeypatch, n1, with_replacement):
+    # 40 columns, each copied about 150 times over the 6,000: every row's
+    # winner has copies in every span, and the lowest free copy must win.
+    # 64 KiB tiles: 112 tiles of 54 columns in float32, 223 of 27 in float64
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 64 << 10)
+    rng = np.random.default_rng(n1)
+    X = copied_columns(n1, rng)
+    phi = rng.standard_normal((300, n1))
+    want = canonical_picks(X, phi, with_replacement)
+    real, counts = samplers._map_spans, []
+
+    def counted(fn, X, cols):
+        out = real(fn, X, cols)
+        counts.append(len(out))
+        return out
+
+    monkeypatch.setattr(samplers, "_map_spans", counted)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(samplers, "_workers", lambda: workers)
+        counts.clear()
+        got = srs_select_indices(X, phi, with_replacement=with_replacement)
+        assert (got == want).all(), workers
+        assert max(counts) == workers
+
+
+def test_a_forked_child_splits_on_threads_of_its_own(monkeypatch):
+    # a child forked after a split inherits the pool but none of its
+    # threads; a span handed to that pool would never run
+    monkeypatch.setattr(samplers, "_TILE_BYTES", 64 << 10)
+    monkeypatch.setattr(samplers, "_workers", lambda: 2)
+    rng = np.random.default_rng(4)
+    X = normalize_columns(rng.standard_normal((40, 3000)))
+    phi = rng.standard_normal((100, 40))
+    want = srs_select_indices(X, phi)
+    with warnings.catch_warnings():
+        # Python 3.12 warns of a fork in a process with threads
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:  # the child leaves at once, without pytest's teardown
+        ok = False
+        try:
+            ok = bool((srs_select_indices(X, phi) == want).all())
+        finally:
+            os._exit(0 if ok else 1)
+    for _ in range(600):
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.1)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's selection did not finish in 60 s")
+    assert os.waitstatus_to_exitcode(status) == 0

@@ -58,6 +58,17 @@ def test_arc_length_validation():
         validate_arc_spec(ArcSpec(tau1=1.0, tau2=1.0, n1=0, n2=5))
 
 
+@pytest.mark.parametrize("field", ["tau1", "tau2", "center1", "center2"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_arc_spec_rejects_non_finite_geometry(field, value):
+    # NaN fails every comparison, so it passed the range checks and the
+    # generator returned NaN columns
+    spec = ArcSpec(**{"tau1": 1.0, "tau2": 0.5, "n1": 5, "n2": 5, "seed": 0,
+                      field: value})
+    with pytest.raises(BadArcLengthsError, match="finite"):
+        gen_arc_clusters(spec)
+
+
 def test_arc_overlap_detected():
     # same center: arcs overlap outright
     with pytest.raises(ArcOverlapError):
