@@ -33,7 +33,7 @@ from .matrix import (
 from .samplers import (
     SamplerSpec,
     as_matrix_with_norms,
-    sample_columns,
+    bind,
     sample_gaussian_directions,
     sampler_input,
     srs_select_unchecked,
@@ -200,14 +200,13 @@ def _trials(D, spec: SamplerSpec, trials: int, master_seed: int, prepare=True):
     """``(t, sketch)`` for t = 0..trials-1: ``spec`` run on ``D`` with
     ``default_rng(master_seed + t)``.  ``D`` goes through
     ``sampler_input`` first when ``prepare``; ``trials`` is checked before.
+    The sampler is bound to its matrix once (see ``samplers.bind``), so
+    its input check and, say, the leverage SVD run once per loop.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    M = sampler_input(D, spec.method) if prepare else D
-    return (
-        (t, sample_columns(M, spec, np.random.default_rng(master_seed + t)))
-        for t in range(trials)
-    )
+    draw = bind(sampler_input(D, spec.method) if prepare else D, spec)
+    return ((t, draw(np.random.default_rng(master_seed + t))) for t in range(trials))
 
 
 def rank_curve(
@@ -296,9 +295,10 @@ def kmeans_balance_experiment(
         rng = np.random.default_rng(master_seed + t)
         centers = kmeans(D, k, rng, max_iters=max_iters, restarts=restarts)
         ok_full = balanced_centers_check(centers, D, labels)
-        sketch = sample_columns(
-            X, SamplerSpec(method="srs", n=sketch_n), rng
-        )
+        if not t:
+            # bound once, after the first k-means has checked its arguments
+            draw = bind(X, SamplerSpec(method="srs", n=sketch_n))
+        sketch = draw(rng)
         centers = kmeans(
             D[:, sketch.indices], k, rng, max_iters=max_iters, restarts=restarts
         )

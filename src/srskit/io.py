@@ -64,13 +64,17 @@ def numbered_lines(path):
             yield lineno, raw
 
 
+def _is_data(line: str) -> bool:
+    """Whether a line holds data: it is neither blank nor a '#' comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def _data_lines(path):
     """Yield (1-based line number, stripped text) skipping comments/blanks."""
     for lineno, raw in numbered_lines(path):
         text = raw.rstrip("\n").rstrip("\r")
-        if not text.strip() or text.lstrip().startswith("#"):
-            continue
-        yield lineno, text
+        if _is_data(text):
+            yield lineno, text
 
 
 def save_csv(D: np.ndarray, path, comment: str | None = None) -> None:
@@ -161,10 +165,28 @@ def load_indices(path) -> np.ndarray:
 
 
 def _load_ints(path, kind: str, noun: str, limit: int | None = None) -> np.ndarray:
-    """One non-negative integer per data line, each below ``limit`` if given.
+    """One non-negative integer per data line, each below ``limit`` if given
+    and below 2**63 in any case.
 
-    ``kind`` names the file and ``noun`` a value in the ParseErrors.
+    ``kind`` names the file and ``noun`` a value in the ParseErrors.  The
+    lines after the leading comments go through one ``np.loadtxt``, which
+    reads a strict subset of what ``int()`` reads.  A file it cannot read
+    (a later comment, say), or with a value out of range, is read again by
+    the line loop, which raises at the first bad line.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = next(filter(_is_data, fh), None)
+            if first is not None:
+                values = np.loadtxt(itertools.chain([first], fh), dtype=np.int64,
+                                    comments=None, ndmin=2)
+                ok = values >= 0
+                if limit is not None:
+                    ok &= values < limit
+                if values.shape[1] == 1 and ok.all():
+                    return values.ravel()
+    except ValueError:  # UnicodeDecodeError too
+        pass
     values = []
     with closing(_data_lines(path)) as numbered:
         for lineno, text in numbered:
@@ -176,6 +198,8 @@ def _load_ints(path, kind: str, noun: str, limit: int | None = None) -> np.ndarr
                 raise ParseError(lineno, f"negative {noun} {v}")
             if limit is not None and v >= limit:
                 raise ParseError(lineno, f"{noun} {v} out of range 0..{limit - 1}")
+            if v >= 1 << 63:
+                raise ParseError(lineno, f"{noun} {v} does not fit 64 bits")
             values.append(v)
     if not values:
         raise ParseError(1, f"empty {kind} file")

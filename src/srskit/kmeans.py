@@ -30,6 +30,8 @@ def kmeans(
         raise TooManySamplesError(f"k={k} exceeds {n2} columns")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
     points = np.ascontiguousarray(D.T)
     best_centers = None
     best_inertia = np.inf

@@ -17,6 +17,11 @@ runs on the calling thread alone.
 Baselines cover uniform index sampling, norm-proportional sampling,
 leverage-score sampling, and adaptive residual (volume) sampling.
 
+Each sampler is a binder, which checks its matrix and does every step
+that needs no random numbers, and the draw it returns, which consumes the
+generator; ``bind`` runs the binder of a ``SamplerSpec``, so a trial loop
+binds once and draws once per trial.
+
 All samplers are pure given an explicit ``numpy.random.Generator``.
 Callers running parallel trials should derive one generator per trial
 as ``default_rng(master_seed + trial_index)``.
@@ -48,21 +53,18 @@ from .matrix import (
     singular_value_rank,
 )
 
-# method name -> sampler run by sample_columns.  The lambdas look the
-# sampler up by name at call time, so a rebinding of a module attribute
-# (a test double, a tracer) is honoured.
+# method name -> binder run by bind: ``(M, spec) -> draw``, where
+# ``draw(rng)`` is one sketch.  The lambdas look the binder up by name at
+# call time, so a rebinding of a module attribute (a test double, a
+# tracer) is honoured.
 _SAMPLERS = {
-    "srs": lambda M, spec, rng: srs_without_replacement(M, spec.n, rng),
-    "srs_repl": lambda M, spec, rng: srs_with_replacement(M, spec.n, rng),
-    "ris": lambda M, spec, rng: ris(M, spec.n, False, rng),
-    "ris_repl": lambda M, spec, rng: ris(M, spec.n, True, rng),
-    "norm": lambda M, spec, rng: norm_sampling(
-        M, spec.n, rng, squared=spec.norm_squared
-    ),
-    "leverage": lambda M, spec, rng: leverage_sampling(
-        M, spec.n, rng, k=spec.leverage_k
-    ),
-    "volume": lambda M, spec, rng: volume_sampling(M, spec.n, rng),
+    "srs": lambda M, spec: _bind_srs(M, spec.n, False),
+    "srs_repl": lambda M, spec: _bind_srs(M, spec.n, True),
+    "ris": lambda M, spec: _bind_ris(M, spec.n, False),
+    "ris_repl": lambda M, spec: _bind_ris(M, spec.n, True),
+    "norm": lambda M, spec: _bind_norm(M, spec.n, spec.norm_squared),
+    "leverage": lambda M, spec: _bind_leverage(M, spec.n, spec.leverage_k),
+    "volume": lambda M, spec: _bind_volume(M, spec.n),
 }
 
 METHODS = tuple(_SAMPLERS)
@@ -422,7 +424,8 @@ def _sketch(M, idx, method, with_replacement):
 
 def _checked(D: np.ndarray, n: int, distinct: bool):
     """``D`` and its column norms, from one pass over it, checked for ``n``
-    draws, distinct or not: its entries, then ``n``, then its column count."""
+    draws, distinct or not: its entries, then ``n``, then its column count,
+    then that ``n`` fits an array index."""
     D, norms = as_matrix_with_norms(D)
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -430,40 +433,139 @@ def _checked(D: np.ndarray, n: int, distinct: bool):
         raise TooManySamplesError(
             f"requested {n} distinct columns from {D.shape[1]}"
         )
+    if n > np.iinfo(np.intp).max:
+        raise ValueError(f"n={n} is more draws than an array can hold")
     return D, norms
+
+
+def _bind_srs(X: np.ndarray, n: int, with_replacement: bool):
+    X = check_unit_columns(*_checked(X, n, distinct=not with_replacement))
+    method = "srs_repl" if with_replacement else "srs"
+
+    def draw(rng):
+        phi = sample_gaussian_directions(n, X.shape[0], rng)
+        idx = srs_select_unchecked(X, phi, with_replacement)
+        return _sketch(X, idx, method, with_replacement)
+
+    return draw
+
+
+def _bind_ris(D: np.ndarray, n: int, with_replacement: bool):
+    D, _ = _checked(D, n, not with_replacement)
+    n2 = D.shape[1]
+    if with_replacement:
+        return lambda rng: _sketch(D, rng.integers(0, n2, size=n), "ris_repl", True)
+    return lambda rng: _sketch(D, rng.permutation(n2)[:n], "ris", False)
+
+
+def _bind_norm(D: np.ndarray, n: int, squared: bool):
+    D, norms = _checked(D, n, distinct=False)
+    w = np.einsum("ij,ij->j", D, D) if squared else norms
+    total = w.sum()
+    if total == 0.0:
+        raise ZeroMatrixError("all columns have zero norm")
+    p = w / total
+    return lambda rng: _sketch(D, rng.choice(D.shape[1], size=n, p=p), "norm", True)
+
+
+def _bind_leverage(D: np.ndarray, n: int, k: int | None):
+    D, _ = _checked(D, n, distinct=False)
+    p = leverage_probabilities(D, k)
+    return lambda rng: _sketch(
+        D, rng.choice(D.shape[1], size=n, p=p), "leverage", True)
+
+
+def _bind_volume(D: np.ndarray, n: int):
+    D, _ = _checked(D, n, distinct=True)
+    N1, n2 = D.shape
+    tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
+    sq = np.einsum("ij,ij->j", D, D)
+    cols = max(1, _TILE_BYTES // (8 * N1))
+
+    def orth(Q, V):
+        # V less its projection on the orthonormal columns of Q, taken
+        # twice (Giraud, Langou & Rozloznik 2005: "twice is enough")
+        V = V - Q @ (Q.T @ V)
+        V -= Q @ (Q.T @ V)
+        return V
+
+    def exact(Q, active):
+        # the squared residual norms of the active columns, a block of
+        # columns at a time
+        out = np.empty(n2)
+        for a in range(0, n2, cols):
+            r = orth(Q, D[:, a : a + cols])
+            out[a : a + cols] = np.einsum("ij,ij->j", r, r)
+        out[~active] = 0.0
+        return out
+
+    def draw(rng):
+        uniforms = rng.random(n)
+        active = np.ones(n2, dtype=bool)
+        chosen = np.empty(n, dtype=np.int64)
+        # a pass adds orthonormal vectors of R^N1; after N1 of them every
+        # residual is at rounding level, far below tol_sq, and the pass ends
+        basis = np.empty((N1, N1))
+        t = 0
+        while t < n:
+            res_sq = np.where(active, sq, 0.0)
+            m = 0
+            while t < n:
+                Q = basis[:, :m]
+                # an estimate is off by rounding of order eps * ||d_j||^2
+                # per draw: once every one is at or below 1e-6 of the
+                # largest active ||d_j||^2, that rounding could outweigh a
+                # residual or decide the exhaustion test
+                if m and res_sq.max() <= 1e-6 * sq.max(where=active, initial=0.0):
+                    res_sq = exact(Q, active)
+                if res_sq.max(initial=0.0) <= tol_sq:
+                    if m:
+                        break  # pass exhausted, restart on remaining columns
+                    # remaining columns are numerically zero: fall back to a
+                    # uniform draw so the requested count is still reached
+                    act = np.flatnonzero(active)
+                    j = int(act[min(int(uniforms[t] * act.size), act.size - 1)])
+                else:
+                    pos = np.flatnonzero(res_sq > 0.0)
+                    cum = np.cumsum(res_sq[pos])
+                    slot = np.searchsorted(cum, uniforms[t] * cum[-1], side="right")
+                    j = int(pos[min(slot, pos.size - 1)])
+                    b = orth(Q, D[:, j])
+                    b /= np.linalg.norm(b)
+                    basis[:, m] = b
+                    m += 1
+                    # b is orthogonal to the earlier basis, so b . r_j = b . d_j
+                    c = b @ D
+                    res_sq -= np.multiply(c, c, out=c)
+                    np.maximum(res_sq, 0.0, out=res_sq)
+                chosen[t] = j
+                active[j] = False
+                res_sq[j] = 0.0
+                t += 1
+        return _sketch(D, chosen, "volume", False)
+
+    return draw
 
 
 def srs_without_replacement(
     X: np.ndarray, n: int, rng: np.random.Generator
 ) -> SketchResult:
     """Spatial sampling of n distinct columns of unit-norm ``X``."""
-    X = check_unit_columns(*_checked(X, n, distinct=True))
-    phi = sample_gaussian_directions(n, X.shape[0], rng)
-    idx = srs_select_unchecked(X, phi, with_replacement=False)
-    return _sketch(X, idx, "srs", False)
+    return _bind_srs(X, n, False)(rng)
 
 
 def srs_with_replacement(
     X: np.ndarray, n: int, rng: np.random.Generator
 ) -> SketchResult:
     """Spatial sampling of n columns, one independent draw per direction."""
-    X = check_unit_columns(*_checked(X, n, distinct=False))
-    phi = sample_gaussian_directions(n, X.shape[0], rng)
-    idx = srs_select_unchecked(X, phi, with_replacement=True)
-    return _sketch(X, idx, "srs_repl", True)
+    return _bind_srs(X, n, True)(rng)
 
 
 def ris(
     D: np.ndarray, n: int, with_replacement: bool, rng: np.random.Generator
 ) -> SketchResult:
     """Uniform sampling over the column index set."""
-    D, _ = _checked(D, n, not with_replacement)
-    n2 = D.shape[1]
-    if with_replacement:
-        idx = rng.integers(0, n2, size=n)
-        return _sketch(D, idx, "ris_repl", True)
-    idx = rng.permutation(n2)[:n]
-    return _sketch(D, idx, "ris", False)
+    return _bind_ris(D, n, with_replacement)(rng)
 
 
 def norm_sampling(
@@ -477,13 +579,7 @@ def norm_sampling(
     With ``squared`` (the usual convention) column j is drawn with
     probability ||d_j||^2 / ||D||_F^2; otherwise plain norms are used.
     """
-    D, norms = _checked(D, n, distinct=False)
-    w = np.einsum("ij,ij->j", D, D) if squared else norms
-    total = w.sum()
-    if total == 0.0:
-        raise ZeroMatrixError("all columns have zero norm")
-    idx = rng.choice(D.shape[1], size=n, p=w / total)
-    return _sketch(D, idx, "norm", True)
+    return _bind_norm(D, n, squared)(rng)
 
 
 def leverage_sampling(
@@ -493,10 +589,7 @@ def leverage_sampling(
     k: int | None = None,
 ) -> SketchResult:
     """i.i.d. draws from leverage scores of the top-k right singular vectors."""
-    D, _ = _checked(D, n, distinct=False)
-    p = leverage_probabilities(D, k)
-    idx = rng.choice(D.shape[1], size=n, p=p)
-    return _sketch(D, idx, "leverage", True)
+    return _bind_leverage(D, n, k)(rng)
 
 
 def leverage_probabilities(D: np.ndarray, k: int | None = None) -> np.ndarray:
@@ -530,50 +623,18 @@ def volume_sampling(
     drops below 1e-10 * ||D||_F the pass is exhausted: sampled columns
     stay removed and a fresh pass starts on the remaining ones, until n
     total columns are collected.
+
+    The squared residual norms are one vector, updated by one GEMV per
+    draw (adaptive sampling, Deshpande, Rademacher, Vempala & Wang 2006):
+    the new basis vector b is orthogonal to the earlier ones, so a
+    residual loses (b . d_j)^2.  Once the largest of them falls to
+    1e-6 * max ||d_j||^2 or below, where the rounding of those updates
+    could decide the exhaustion test, they are recomputed from D and the
+    basis, a block of columns at a time.  Beyond D and the sketch, the
+    sampler holds the N1 x N1 basis, a few vectors of length N2 and one
+    such block.
     """
-    D, _ = _checked(D, n, distinct=True)
-    N1, n2 = D.shape
-    tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
-    uniforms = rng.random(n)
-    active = np.ones(n2, dtype=bool)
-    chosen = np.empty(n, dtype=np.int64)
-    R = np.empty_like(D)
-    # a pass adds orthonormal vectors of R^N1; after N1 of them every
-    # residual is at rounding level, far below tol_sq, and the pass ends
-    basis = np.empty((N1, N1))
-    t = 0
-    while t < n:
-        np.copyto(R, D)
-        m = 0
-        fresh = True
-        while t < n:
-            res_sq = np.einsum("ij,ij->j", R, R)
-            res_sq[~active] = 0.0
-            if res_sq.max(initial=0.0) <= tol_sq:
-                if not fresh:
-                    break  # pass exhausted, restart on remaining columns
-                # remaining columns are numerically zero: fall back to a
-                # uniform draw so the requested count is still reached
-                act = np.flatnonzero(active)
-                j = int(act[min(int(uniforms[t] * act.size), act.size - 1)])
-            else:
-                pos = np.flatnonzero(res_sq > 0.0)
-                cum = np.cumsum(res_sq[pos])
-                slot = np.searchsorted(cum, uniforms[t] * cum[-1], side="right")
-                j = int(pos[min(slot, pos.size - 1)])
-                b = R[:, j].copy()
-                if m:
-                    b -= basis[:, :m] @ (basis[:, :m].T @ b)
-                b /= np.linalg.norm(b)
-                basis[:, m] = b
-                m += 1
-                R -= np.outer(b, b @ R)
-            chosen[t] = j
-            active[j] = False
-            fresh = False
-            t += 1
-        # loop restarts with a new pass
-    return _sketch(D, chosen, "volume", False)
+    return _bind_volume(D, n)(rng)
 
 
 def sampler_input(D: np.ndarray, method: str) -> np.ndarray:
@@ -583,20 +644,32 @@ def sampler_input(D: np.ndarray, method: str) -> np.ndarray:
     return matrix.normalize_columns(D) if method in ("srs", "srs_repl") else D
 
 
+def bind(M: np.ndarray, spec: SamplerSpec):
+    """The draw of ``spec`` on ``M``: ``bind(M, spec)(rng)`` is the sketch
+    ``sample_columns(M, spec, rng)``.
+
+    Every step that needs no random numbers runs here, once: the input
+    check, the norm weights, the leverage SVD, the volume column norms.
+    A trial loop binds once and draws once per trial.
+    """
+    draw = _SAMPLERS[spec.method](M, spec)
+    if spec.seed is None:
+        return draw
+    return lambda rng: dataclasses.replace(draw(rng), seed=spec.seed)
+
+
 def sample_columns(
     M: np.ndarray, spec: SamplerSpec, rng: np.random.Generator | None = None
 ) -> SketchResult:
-    """Dispatch on ``spec.method``.
+    """Dispatch on ``spec.method``: ``bind(M, spec)(rng)``.
 
     ``M`` must already be column-normalized for the spatial methods (see
     ``sampler_input``); normalization is deliberately not applied here.
-    When ``rng`` is omitted it is derived from ``spec.seed``.
+    When ``rng`` is omitted it is derived from ``spec.seed``, which the
+    result carries when set.
     """
     if rng is None:
         if spec.seed is None:
             raise ValueError("either rng or spec.seed is required")
         rng = np.random.default_rng(spec.seed)
-    result = _SAMPLERS[spec.method](M, spec, rng)
-    if spec.seed is not None:
-        result = dataclasses.replace(result, seed=spec.seed)
-    return result
+    return bind(M, spec)(rng)

@@ -33,7 +33,10 @@ from srskit import (
     rank_curve,
     report_values,
 )
-from srskit.analysis import lemma_empirical
+from srskit import METHODS, samplers
+from srskit.analysis import _trials, lemma_empirical
+from srskit.errors import TooManySamplesError, ZeroColumnError
+from srskit.samplers import sample_columns, sampler_input
 
 
 def arc_data(tau1, tau2, n1, n2, seed):
@@ -181,6 +184,106 @@ def test_kmeans_balance_experiment_smoke():
     assert methods == {"full", "srs_sketch"}
     assert all(v in (0.0, 1.0) for _, _, _, _, v in rep.rows)
     assert len(rep.rows) == 6
+
+
+# ---------------------------------------------------------------------------
+# trial loops: one bind, then one draw per trial
+
+
+def separate_calls(D, spec, trials, master_seed):
+    M = sampler_input(D, spec.method)
+    return [sample_columns(M, spec, np.random.default_rng(master_seed + t))
+            for t in range(trials)]
+
+
+def outcome(fn):
+    """``fn()``'s error as (type, message), or None."""
+    try:
+        fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [None, 8])
+@pytest.mark.parametrize("method", METHODS)
+def test_trials_equal_separate_sample_columns_calls(method, seed):
+    D = np.random.default_rng(20).standard_normal((5, 40))
+    spec = SamplerSpec(method=method, n=9, seed=seed)
+    got = list(_trials(D, spec, 4, 31))
+    want = separate_calls(D, spec, 4, 31)
+    assert [t for t, _ in got] == [0, 1, 2, 3]
+    for (_, a), b in zip(got, want):
+        assert (a.indices == b.indices).all()
+        assert (a.columns == b.columns).all()
+        assert ((a.method, a.seed, a.with_replacement)
+                == (b.method, b.seed, b.with_replacement))
+
+
+def nan_entry():
+    D = np.ones((3, 5))
+    D[1, 2] = np.nan
+    return D
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("D, n, k", [
+    (nan_entry(), 2, None),  # a non-finite entry
+    (np.eye(4), 5, None),  # more distinct draws than columns
+    (np.zeros((2, 4)), 2, None),  # zero columns, a zero matrix
+    (np.outer([1.0, 2.0, 3.0], np.arange(1.0, 7.0)), 2, 2),  # k above rank
+], ids=["nan", "too-many", "zero", "rank"])
+def test_trials_raise_what_the_first_trial_raised(method, D, n, k):
+    spec = SamplerSpec(method=method, n=n, seed=1, leverage_k=k)
+    want = outcome(lambda: separate_calls(D, spec, 3, 0))
+    assert outcome(lambda: list(_trials(D, spec, 3, 0))) == want
+
+
+def test_trials_check_trials_then_columns_then_sampler():
+    D = np.eye(3)
+    D[:, 1] = 0.0
+    spec = SamplerSpec(method="srs", n=4, seed=0)  # also too many columns
+    assert outcome(lambda: _trials(D, spec, 0, 0)) == (
+        ValueError, "trials must be >= 1")
+    assert outcome(lambda: _trials(D, spec, 1, 0))[0] is ZeroColumnError
+    assert outcome(lambda: _trials(np.eye(3), spec, 1, 0))[0] is TooManySamplesError
+
+
+def counted(monkeypatch, name):
+    calls = []
+    fn = getattr(samplers, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(samplers, name, wrapper)
+    return calls
+
+
+def test_kmeans_experiment_binds_its_sketch_once(monkeypatch):
+    D, labels = arc_data(1.0, 1.0, 60, 15, seed=16)
+    want = kmeans_balance_experiment(D, labels, k=2, sketch_n=20, seeds=3,
+                                     master_seed=17, restarts=2)
+    binds = counted(monkeypatch, "_bind_srs")
+    got = kmeans_balance_experiment(D, labels, k=2, sketch_n=20, seeds=3,
+                                    master_seed=17, restarts=2)
+    assert binds == ["_bind_srs"]
+    assert got == want
+
+
+def test_kmeans_experiment_checks_k_means_before_the_sketch():
+    D, labels = arc_data(1.0, 1.0, 10, 10, seed=16)
+    with pytest.raises(TooManySamplesError, match="k=30 exceeds"):
+        kmeans_balance_experiment(D, labels, k=30, sketch_n=30, seeds=2,
+                                  master_seed=0)
+
+
+def test_lemma_empirical_checks_its_arcs_once(monkeypatch):
+    checks = counted(monkeypatch, "_checked")
+    arc = ArcSpec(tau1=1.2, tau2=0.6, n1=40, n2=20, seed=3)
+    lemma_empirical("lemma3", arc, 2, 0.1, trials=5, master_seed=0)
+    assert checks == ["_checked"]
 
 
 # ---------------------------------------------------------------------------

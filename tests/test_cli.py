@@ -361,6 +361,12 @@ def test_non_utf8_argument_is_usage_error_before_any_write(
     (("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
       "--sketch-n", 0, "--seeds", 1, "--seed", 1),
      "sketch_n must be >= 1"),
+    (("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
+      "--sketch-n", 10, "--seeds", 1, "--seed", 1, "--max-iters", 0),
+     "max_iters must be >= 1"),
+    (("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
+      "--sketch-n", 10, "--seeds", 1, "--seed", 1, "--max-iters", -5),
+     "max_iters must be >= 1"),
     (("exp", "probability", "--matrix", "{mat}", "--labels", "{lab}",
       "--draws", 0, "--seed", 1, "--estimator", "srs"),
      "draws must be >= 1"),
@@ -371,7 +377,8 @@ def test_non_utf8_argument_is_usage_error_before_any_write(
       "--draws", 0, "--seed", 1, "--estimator", "both"),
      "draws must be >= 1"),
 ], ids=["bounds", "kmeans", "rank-curve", "coverage", "kmeans-seeds",
-        "kmeans-sketch-n", "probability-srs", "probability-directions",
+        "kmeans-sketch-n", "kmeans-max-iters-0", "kmeans-max-iters-negative",
+        "probability-srs", "probability-directions",
         "probability-both"])
 def test_counts_below_one_exit_one_before_writing(tmp_path, capsys, argv,
                                                   message):
@@ -518,3 +525,59 @@ def test_gen_arcs_non_finite_exits_one_before_writing(tmp_path, capsys, flag,
     assert capsys.readouterr().err == (
         "BadArcLengthsError: arc lengths and centers must be finite\n")
     assert list(tmp_path.iterdir()) == []
+
+
+HUGE_N = 10**20  # more draws than an array index can count
+
+
+@pytest.mark.parametrize("method", ["norm", "leverage", "ris_repl", "srs_repl"])
+def test_sketch_n_beyond_an_array_exits_one_before_writing(tmp_path, capsys,
+                                                           method):
+    mat, _ = gen_arcs(tmp_path, n1=20, n2=20)
+    idx = tmp_path / "i.csv"
+    capsys.readouterr()
+    assert run("sketch", "--matrix", mat, "--method", method, "--n", HUGE_N,
+               "--seed", 1, "--out-indices", idx) == 1
+    assert capsys.readouterr().err.startswith(f"ValueError: n={HUGE_N} ")
+    assert not idx.exists()
+
+
+def test_exp_coverage_n_beyond_an_array_exits_one_before_writing(tmp_path,
+                                                                 capsys):
+    mat, lab = gen_arcs(tmp_path, n1=20, n2=20)
+    out = tmp_path / "out.csv"
+    capsys.readouterr()
+    assert run("exp", "coverage", "--matrix", mat, "--labels", lab,
+               "--methods", "ris_repl,norm", "--n", HUGE_N, "--trials", 2,
+               "--seed", 1, "--out", out) == 1
+    assert capsys.readouterr().err.startswith(f"ValueError: n={HUGE_N} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["labels", "indices"])
+def test_eval_coverage_integer_beyond_64_bits_exits_one(tmp_path, capsys,
+                                                        which):
+    files = {"labels": tmp_path / "L.csv", "indices": tmp_path / "I.csv"}
+    files["labels"].write_text("0\n1\n1\n")
+    files["indices"].write_text("# picks\n2\n0\n")
+    with open(files[which], "a") as fh:
+        fh.write("99999999999999999999\n")
+    capsys.readouterr()
+    assert run("eval", "coverage", "--labels", files["labels"],
+               "--indices", files["indices"]) == 1
+    # the value is on line 4 of either file
+    assert capsys.readouterr().err.startswith("ParseError: line 4:")
+
+
+def test_exp_coverage_runs_one_svd_for_all_trials(tmp_path, monkeypatch):
+    from srskit import samplers
+
+    calls = []
+    svd = samplers.leverage_probabilities
+    monkeypatch.setattr(samplers, "leverage_probabilities",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    mat, lab = gen_arcs(tmp_path, n1=20, n2=20)
+    assert run("exp", "coverage", "--matrix", mat, "--labels", lab,
+               "--methods", "srs,leverage", "--n", 5, "--trials", 3,
+               "--seed", 1, "--out", tmp_path / "out.csv") == 0
+    assert len(calls) == 1

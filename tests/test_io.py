@@ -218,3 +218,56 @@ def test_load_csv_memory_is_the_result(tmp_path):
     back, peak = traced_peak(load_csv, path)
     assert back.tobytes() == D.tobytes()
     assert peak < 1.5 * D.nbytes + (2 << 20)
+
+
+@pytest.mark.parametrize("loader", [load_labels, load_indices])
+def test_integer_beyond_64_bits_is_parse_error(tmp_path, loader):
+    path = tmp_path / "ints.csv"
+    path.write_text(f"# echo\n1\n{2**63}\n0\n")
+    with pytest.raises(ParseError) as info:
+        loader(path)
+    assert info.value.line == 3
+    path.write_text(f"1\n{2**63 - 1}\n")
+    assert load_indices(path).tolist() == [1, 2**63 - 1]
+
+
+def line_loop_ints(path, limit=None):
+    """The integers of a labels or indices file, one int() per data line,
+    or the ParseError's (line, message)."""
+    values = []
+    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            v = int(text)
+        except ValueError as exc:
+            return lineno, str(exc)
+        if v < 0 or (limit is not None and v >= limit) or v >= 2**63:
+            return lineno, None
+        values.append(v)
+    return values
+
+
+# tokens loadtxt reads as int() does, and tokens only int() (or neither) reads
+@pytest.mark.parametrize("token", [
+    " 7 ", "+3", "-0", "007", "1.0", "1e3", "0x10", "1_0", "٣", str(2**63),
+    "-4", "12", "3 4", "5 # note",
+])
+@pytest.mark.parametrize("limit", [None, 13])
+def test_ints_read_as_int_does(tmp_path, token, limit):
+    path = tmp_path / "ints.csv"
+    for lines in ([token], ["2", token, "0"], ["# c", "2", "", token],
+                  ["2", "# c", token], [" ", "\t# c", token, "7"]):
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want = line_loop_ints(path, limit)
+        try:
+            got = io._load_ints(path, "labels", "cluster id", limit)
+        except ParseError as exc:
+            assert isinstance(want, tuple), (lines, exc)
+            line, message = want
+            assert exc.line == line
+            assert message is None or str(exc) == f"line {line}: {message}"
+            continue
+        assert got.dtype == np.int64
+        assert got.tolist() == want, lines

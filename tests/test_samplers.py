@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from srskit import (
     srs_without_replacement,
     volume_sampling,
 )
+from srskit import samplers
 
 
 def unit(D):
@@ -320,3 +323,132 @@ def test_every_method_sample_count_boundary(X, seed):
         else:
             with pytest.raises(TooManySamplesError):
                 sample_columns(X, over)
+
+
+# ---------------------------------------------------------------------------
+# binders: one per method, shared by sample_columns and the trial loops
+
+
+def test_rng_or_seed_error_comes_before_input_errors():
+    with pytest.raises(ValueError, match="either rng or spec.seed"):
+        sample_columns(np.full((2, 2), np.nan), SamplerSpec(method="norm", n=1))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_n_beyond_an_array_index_is_value_error(method):
+    n = int(np.iinfo(np.intp).max) + 1
+    error = TooManySamplesError if method in ("srs", "ris", "volume") else ValueError
+    with pytest.raises(error) as info:
+        sample_columns(unit(np.eye(3)), SamplerSpec(method=method, n=n, seed=0))
+    assert type(info.value) is error
+    if error is ValueError:
+        assert str(n) in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# volume sampling against the residual-matrix loop it replaced
+
+
+def volume_oracle(D, n, rng):
+    """Volume sampling as an N1 x N2 residual matrix R, updated in full by
+    each draw (rank-one, through np.outer) and re-read for its column
+    norms on the next."""
+    D = np.asarray(D, dtype=float)
+    N1, n2 = D.shape
+    tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
+    uniforms = rng.random(n)
+    active = np.ones(n2, dtype=bool)
+    chosen = np.empty(n, dtype=np.int64)
+    R = np.empty_like(D)
+    basis = np.empty((N1, N1))
+    t = 0
+    while t < n:
+        np.copyto(R, D)
+        m = 0
+        fresh = True
+        while t < n:
+            res_sq = np.einsum("ij,ij->j", R, R)
+            res_sq[~active] = 0.0
+            if res_sq.max(initial=0.0) <= tol_sq:
+                if not fresh:
+                    break
+                act = np.flatnonzero(active)
+                j = int(act[min(int(uniforms[t] * act.size), act.size - 1)])
+            else:
+                pos = np.flatnonzero(res_sq > 0.0)
+                cum = np.cumsum(res_sq[pos])
+                slot = np.searchsorted(cum, uniforms[t] * cum[-1], side="right")
+                j = int(pos[min(slot, pos.size - 1)])
+                b = R[:, j].copy()
+                if m:
+                    b -= basis[:, :m] @ (basis[:, :m].T @ b)
+                b /= np.linalg.norm(b)
+                basis[:, m] = b
+                m += 1
+                R -= np.outer(b, b @ R)
+            chosen[t] = j
+            active[j] = False
+            fresh = False
+            t += 1
+    return chosen
+
+
+def adversarial_volume_case(rng):
+    """A small matrix that stresses the residual bookkeeping, and a count."""
+    n1, n2 = int(rng.integers(1, 9)), int(rng.integers(1, 31))
+    kind = int(rng.integers(0, 6))
+    if kind == 0:  # column scales from 1e-8 to 1e8
+        D = rng.standard_normal((n1, n2)) * 10.0 ** rng.uniform(-8, 8, n2)
+    elif kind == 1:  # near-parallel columns
+        D = (rng.standard_normal((n1, 1))
+             + 10.0 ** rng.uniform(-14, -2) * rng.standard_normal((n1, n2)))
+    elif kind == 2:  # low rank
+        r = int(rng.integers(1, n1 + 1))
+        D = rng.standard_normal((n1, r)) @ rng.standard_normal((r, n2))
+    elif kind == 3:  # duplicate and zero columns
+        D = rng.standard_normal((n1, n2))[:, rng.integers(0, n2, n2)]
+        D[:, rng.random(n2) < 0.3] = 0.0
+    elif kind == 4:  # small integers: ties and exact cancellation
+        D = rng.integers(-2, 3, (n1, n2)).astype(float)
+    else:  # two blocks of columns at scales far apart
+        D = rng.standard_normal((n1, n2)) * 10.0 ** rng.uniform(-8, 8)
+        D[:, : n2 // 2] *= 10.0 ** rng.uniform(-8, 8)
+    return D, int(rng.integers(1, n2 + 1))
+
+
+def test_volume_matches_residual_matrix_loop_seeded():
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        dense = rng.standard_normal((30, 200))
+        low = rng.standard_normal((40, 4)) @ rng.standard_normal((4, 300))
+        spiked = dense.copy()
+        spiked[:, seed] *= 1e8  # its pick leaves every estimate far below it
+        for D, n in ((dense, 60), (low, 45), (unit(dense), 200), (spiked, 60)):
+            got = volume_sampling(D, n, np.random.default_rng(seed)).indices
+            assert (got == volume_oracle(D, n, np.random.default_rng(seed))).all()
+
+
+def test_volume_matches_residual_matrix_loop_adversarial():
+    rng = np.random.default_rng(2006)
+    for case in range(3000):
+        D, n = adversarial_volume_case(rng)
+        seed = int(rng.integers(1 << 31))
+        want = volume_oracle(D, n, np.random.default_rng(seed))
+        got = volume_sampling(D, n, np.random.default_rng(seed)).indices
+        assert (got == want).all(), case
+
+
+@pytest.mark.parametrize("rank, n", [(5, 12), (100, 30)])
+def test_volume_memory_is_below_one_copy_of_d(rank, n):
+    # low rank exhausts passes and recomputes the residuals exactly
+    rng = np.random.default_rng(rank)
+    D = rng.standard_normal((100, rank)) @ rng.standard_normal((rank, 20_000))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        got = volume_sampling(D, n, np.random.default_rng(1)).indices
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.unique(got).size == n
+    assert peak < D.nbytes
