@@ -2,14 +2,14 @@
 
 Kernels here are the inner loops of sampling and k-means: the row-wise
 argmax of spatial sampling (with or without exclusion of picked
-columns), the nearest-center search and the Lloyd iteration.  The
-argmax and the nearest-center search rank by a fast score first and
+columns), the nearest-center search and Lloyd, whose restarts share one
+nearest-center GEMM per round.  Both searches rank by a fast score and
 settle every candidate within its rounding bound by an exact one, in
-``lowest_best``; a result therefore depends on the inputs alone, not on
-how a BLAS rounded the fast score.  The GEMMs behind the fast scores stay
-in their home modules; spatial selection reduces its |Phi . X| screen tile
-by tile itself, and hands the argmax whole screen rows: a tile of every
-column, or a batch of the rows it screens again.
+``lowest_best``; a result depends on the inputs alone, not on how a BLAS
+rounded the fast score or which restarts shared its GEMM.  Spatial
+selection keeps its GEMMs and reduces its |Phi . X| screen tile by tile
+itself, and hands the argmax whole screen rows: a tile of every column,
+or a batch of the rows it screens again.
 """
 
 from __future__ import annotations
@@ -50,27 +50,45 @@ def exact_abs_dots(a: np.ndarray, b: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def nearest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Index of the nearest row of ``b`` for each row of ``a`` (ties: lowest).
+    """Index of the nearest row of ``b`` for each row of ``a`` (ties: lowest)."""
+    return nearest_stack(a, np.sqrt(np.einsum("ij,ij->i", a, a)), b[None])[0]
 
-    ||a_i - b_j||^2 - ||a_i||^2 = ||b_j||^2 - 2 a_i.b_j comes from one
-    (m, n) GEMM, with no (m, n, d) difference temporary.  The GEMM rounds
-    equal distances apart (even for duplicate rows of ``b``), so every
-    candidate within the rounding bound of a row's minimum is settled by
-    its exact distance ||a_i - b_j||^2, and the labels are those of the
-    exact distances.
+
+def nearest_stack(a: np.ndarray, a_norms: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(R, m) labels: for each row i of ``a`` the nearest row of ``B[r]``.
+
+    ``a_norms`` holds the row norms of ``a``.  ||a_i - b_j||^2 - ||a_i||^2
+    = ||b_j||^2 - 2 a_i.b_j comes from one (R k, m) GEMM for every stack,
+    with no (m, k, d) difference temporary; the layout makes the min over
+    the k rows of a stack an elementwise pass.  The GEMM rounds equal
+    distances apart (even for duplicate rows of ``B[r]``), so every
+    candidate within the rounding bound of the minimum is settled by its
+    exact distance ||a_i - b_j||^2, and the labels are those of the exact
+    distances.
     """
-    bb = np.einsum("ij,ij->i", b, b)
-    scores = bb - 2.0 * (a @ b.T)
+    R, k, d = B.shape
+    m = a.shape[0]
+    bb = np.einsum("rjd,rjd->rj", B, B)
+    scores = (B.reshape(R * k, d) @ a.T).reshape(R, k, m)
+    scores *= -2.0
+    scores += bb[:, :, None]
     # each form rounds by at most (d + 3) eps/2 (||a_i|| + ||b_j||)^2, so the
-    # exact argmin scores within twice both errors of the minimum; tol
+    # exact argmin scores within twice both errors of the minimum; the cut
     # allows twice that
-    radius = np.sqrt(np.einsum("ij,ij->i", a, a)) + np.sqrt(bb.max())
-    tol = 4.0 * (a.shape[1] + 3) * np.finfo(np.float64).eps * radius**2
-    rows, cols = np.nonzero(scores <= (scores.min(axis=1) + tol)[:, None])
-    if rows.size == a.shape[0]:
-        return cols  # one candidate per row: the argmin
-    diff = a[rows] - b[cols]
-    return lowest_best(rows, cols, np.einsum("ij,ij->i", diff, diff))
+    cut = (a_norms + np.sqrt(bb.max(axis=1))[:, None]) ** 2
+    cut *= 4.0 * (d + 3) * np.finfo(np.float64).eps
+    cut += scores.min(axis=1)
+    near = scores <= cut[:, None, :]
+    del cut, scores  # the tile is not held while candidates are settled
+    # where a (restart, point) has one candidate, its index is the argmin
+    labels = (np.arange(k, dtype=np.float64) @ near).astype(np.int64)
+    if np.count_nonzero(near) > R * m:
+        rr, cc, ii = np.nonzero(near & (near.sum(axis=1) > 1)[:, None, :])
+        rows = rr * m + ii
+        diff = a[ii] - B[rr, cc]
+        keys = np.einsum("ij,ij->i", diff, diff)
+        labels.reshape(-1)[np.unique(rows)] = lowest_best(rows, cc, keys)
+    return labels
 
 
 def pick_argmax(
@@ -139,27 +157,43 @@ def pick_distinct_argmax(
 
 
 def lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
-    """Lloyd iterations on row-vector points; stops when labels stabilize.
-
-    Returns (centers, labels, inertia, iterations).  An emptied center
-    keeps its previous position.
+    """Lloyd on row-vector points from a (k, d) init, or an (R, k, d) stack
+    of them in lockstep; a run stops when its labels repeat (its centers
+    would recompute bit for bit).  Returns (centers, labels, inertia,
+    iterations), for a stack each per run but the summed iterations.  Only
+    clusters whose members changed are recomputed; an emptied one stays.
     """
-    n = points.shape[0]
-    k = centers.shape[0]
-    centers = centers.copy()
-    labels = np.full(n, -1, dtype=np.int64)
-    it = 0
-    for it in range(1, max_iters + 1):
-        new_labels = nearest(points, centers)
-        for c in range(k):
-            mask = new_labels == c
-            if np.any(mask):
-                centers[c] = points[mask].mean(axis=0)
-        if np.array_equal(new_labels, labels):
+    C = np.array(centers, dtype=np.float64, ndmin=3)
+    R, k, _ = C.shape
+    norms = np.sqrt(np.einsum("ij,ij->i", points, points))
+    labels = np.full((R, points.shape[0]), -1, dtype=np.int64)
+    act = np.arange(R)
+    iters = 0
+    for _ in range(max_iters):
+        iters += act.size
+        new = nearest_stack(points, norms, C[act])
+        # moved[r, c]: a point joined or left cluster c (c = k: label -1)
+        moved = np.zeros((act.size, k + 1), dtype=bool)
+        r, i = np.nonzero(labels[act] != new)
+        moved[r, new[r, i]] = moved[r, labels[act[r], i]] = True
+        for p, c in zip(*np.nonzero(moved[:, :k])):
+            members = np.flatnonzero(new[p] == c)
+            if members.size:  # the sequential sum of .mean(axis=0)
+                C[act[p], c] = np.add.reduce(points[members], axis=0) / members.size
+        labels[act] = new
+        act = act[moved.any(axis=1)]
+        del new, r, i  # no (R, n) temporaries held through the next GEMM
+        if not act.size:
             break
-        labels = new_labels
-    labels = nearest(points, centers)
+    if act.size:
+        labels[act] = nearest_stack(points, norms, C[act])
     # exact residuals, so rounding in the GEMM form never ranks restarts
-    resid = points - centers[labels]
-    inertia = float(np.einsum("ij,ij->i", resid, resid).sum())
-    return centers, labels, inertia, it
+    inertia = np.empty(R)
+    resid = np.empty_like(points)
+    for r in range(R):
+        np.take(C[r], labels[r], axis=0, out=resid, mode="clip")
+        np.subtract(points, resid, out=resid)
+        inertia[r] = np.einsum("ij,ij->i", resid, resid).sum()
+    if centers.ndim == 3:
+        return C, labels, inertia, iters
+    return C[0], labels[0], float(inertia[0]), iters

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import BadArcLengthsError, BadBetaError, BadParamsError, ParseError
 from .io import numbered_lines, write_lines
-from .kmeans import balanced_centers_check, kmeans
+from .kmeans import balanced_centers_check, check_kmeans_args, kmeans
 from .matrix import (
     DEFAULT_RANK_TOL,
     ClusterLabels,
@@ -290,14 +290,16 @@ def kmeans_balance_experiment(
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
     X = normalize_columns(D)
+    # check both k-means calls (on D, then on sketch_n columns) and bind the
+    # sketch before any Lloyd round
+    check_kmeans_args(D.shape[1], k, restarts, max_iters)
+    check_kmeans_args(sketch_n, k, restarts, max_iters)
+    draw = bind(X, SamplerSpec(method="srs", n=sketch_n))
     rows = []
     for t in range(seeds):
         rng = np.random.default_rng(master_seed + t)
         centers = kmeans(D, k, rng, max_iters=max_iters, restarts=restarts)
         ok_full = balanced_centers_check(centers, D, labels)
-        if not t:
-            # bound once, after the first k-means has checked its arguments
-            draw = bind(X, SamplerSpec(method="srs", n=sketch_n))
         sketch = draw(rng)
         centers = kmeans(
             D[:, sketch.indices], k, rng, max_iters=max_iters, restarts=restarts

@@ -2,7 +2,9 @@
 
 Centers are initialized at data columns drawn uniformly at random, the
 best of several restarts by within-cluster sum of squares wins, and
-iterations stop once assignments stabilize.
+iterations stop once assignments stabilize.  Restarts run in lockstep,
+in tile-sized groups whose inits are drawn restart by restart: results
+and generator state are those of one restart after another.
 """
 
 from __future__ import annotations
@@ -12,6 +14,19 @@ import numpy as np
 from . import _kernels
 from .errors import TooManySamplesError
 from .matrix import ClusterLabels, as_matrix
+from .samplers import _TILE_BYTES
+
+
+def check_kmeans_args(n2: int, k: int, restarts: int, max_iters: int):
+    """The argument checks of ``kmeans`` on ``n2`` columns, in its order."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n2:
+        raise TooManySamplesError(f"k={k} exceeds {n2} columns")
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if max_iters < 1:
+        raise ValueError("max_iters must be >= 1")
 
 
 def kmeans(
@@ -24,23 +39,20 @@ def kmeans(
     """Cluster the columns of ``D``; returns the k centers as columns."""
     D = as_matrix(D)
     n2 = D.shape[1]
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n2:
-        raise TooManySamplesError(f"k={k} exceeds {n2} columns")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_kmeans_args(n2, k, restarts, max_iters)
     points = np.ascontiguousarray(D.T)
+    # a group's (group k, max(n, d)) scores and centers fit one tile
+    group = max(1, _TILE_BYTES // (8 * k * max(points.shape)))
     best_centers = None
     best_inertia = np.inf
-    for _ in range(restarts):
-        init = points[rng.permutation(n2)[:k]].copy()
-        centers, _, inertia, _ = _kernels.lloyd(points, init, max_iters)
-        if inertia < best_inertia:
-            best_inertia = inertia
-            best_centers = centers
+    for s in range(0, restarts, group):
+        inits = np.stack([points[rng.permutation(n2)[:k]]
+                          for _ in range(min(group, restarts - s))])
+        centers, _, inertia, _ = _kernels.lloyd(points, inits, max_iters)
+        j = int(np.argmin(inertia))  # the first of the group's least
+        if inertia[j] < best_inertia:
+            best_inertia = inertia[j]
+            best_centers = centers[j]
     return best_centers.T.copy()
 
 

@@ -475,29 +475,33 @@ def _bind_leverage(D: np.ndarray, n: int, k: int | None):
         D, rng.choice(D.shape[1], size=n, p=p), "leverage", True)
 
 
+def _orth(Q, V):
+    # V less its projection on the orthonormal columns of Q, taken twice
+    # (Giraud, Langou & Rozloznik 2005: "twice is enough")
+    V = V - Q @ (Q.T @ V)
+    V -= Q @ (Q.T @ V)
+    return V
+
+
+def _volume_residuals(D, Q, idx, cols):
+    # exact squared residual norms of the columns idx, cols at a time
+    out = np.empty(idx.size)
+    for a in range(0, idx.size, cols):
+        r = _orth(Q, D[:, idx[a : a + cols]])
+        out[a : a + cols] = np.einsum("ij,ij->j", r, r)
+    return out
+
+
 def _bind_volume(D: np.ndarray, n: int):
     D, _ = _checked(D, n, distinct=True)
     N1, n2 = D.shape
     tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
     sq = np.einsum("ij,ij->j", D, D)
+    norms = np.sqrt(sq)
     cols = max(1, _TILE_BYTES // (8 * N1))
-
-    def orth(Q, V):
-        # V less its projection on the orthonormal columns of Q, taken
-        # twice (Giraud, Langou & Rozloznik 2005: "twice is enough")
-        V = V - Q @ (Q.T @ V)
-        V -= Q @ (Q.T @ V)
-        return V
-
-    def exact(Q, active):
-        # the squared residual norms of the active columns, a block of
-        # columns at a time
-        out = np.empty(n2)
-        for a in range(0, n2, cols):
-            r = orth(Q, D[:, a : a + cols])
-            out[a : a + cols] = np.einsum("ij,ij->j", r, r)
-        out[~active] = 0.0
-        return out
+    # an update rounds res_sq[j] by about u (res_sq[j] + |b . d_j| ||d_j||):
+    # the GEMV, b's departure from orthogonality, and the subtraction
+    u = 4.0 * N1 * np.finfo(np.float64).eps
 
     def draw(rng):
         uniforms = rng.random(n)
@@ -509,15 +513,16 @@ def _bind_volume(D: np.ndarray, n: int):
         t = 0
         while t < n:
             res_sq = np.where(active, sq, 0.0)
+            err = np.zeros(n2)  # rounding bounds of res_sq since exact values
             m = 0
             while t < n:
                 Q = basis[:, :m]
-                # an estimate is off by rounding of order eps * ||d_j||^2
-                # per draw: once every one is at or below 1e-6 of the
-                # largest active ||d_j||^2, that rounding could outweigh a
-                # residual or decide the exhaustion test
-                if m and res_sq.max() <= 1e-6 * sq.max(where=active, initial=0.0):
-                    res_sq = exact(Q, active)
+                # an active bound at 1e-6 of the largest estimate could sway
+                # a draw or the exhaustion test: recompute those estimates
+                redo = np.flatnonzero(active & (err > 1e-6 * res_sq.max()))
+                if redo.size:
+                    res_sq[redo] = _volume_residuals(D, Q, redo, cols)
+                    err[redo] = 0.0
                 if res_sq.max(initial=0.0) <= tol_sq:
                     if m:
                         break  # pass exhausted, restart on remaining columns
@@ -530,12 +535,13 @@ def _bind_volume(D: np.ndarray, n: int):
                     cum = np.cumsum(res_sq[pos])
                     slot = np.searchsorted(cum, uniforms[t] * cum[-1], side="right")
                     j = int(pos[min(slot, pos.size - 1)])
-                    b = orth(Q, D[:, j])
+                    b = _orth(Q, D[:, j])
                     b /= np.linalg.norm(b)
                     basis[:, m] = b
                     m += 1
                     # b is orthogonal to the earlier basis, so b . r_j = b . d_j
                     c = b @ D
+                    err += u * (res_sq + np.abs(c) * norms)
                     res_sq -= np.multiply(c, c, out=c)
                     np.maximum(res_sq, 0.0, out=res_sq)
                 chosen[t] = j
@@ -627,12 +633,12 @@ def volume_sampling(
     The squared residual norms are one vector, updated by one GEMV per
     draw (adaptive sampling, Deshpande, Rademacher, Vempala & Wang 2006):
     the new basis vector b is orthogonal to the earlier ones, so a
-    residual loses (b . d_j)^2.  Once the largest of them falls to
-    1e-6 * max ||d_j||^2 or below, where the rounding of those updates
-    could decide the exhaustion test, they are recomputed from D and the
-    basis, a block of columns at a time.  Beyond D and the sketch, the
-    sampler holds the N1 x N1 basis, a few vectors of length N2 and one
-    such block.
+    residual loses (b . d_j)^2.  Each estimate carries a bound on the
+    rounding of its updates; where an active bound reaches 1e-6 of the
+    largest estimate, enough to sway a draw or the exhaustion test, the
+    estimate is recomputed from D and the basis, a block at a time.
+    Beyond D and the sketch, the sampler holds the N1 x N1 basis, a few
+    vectors of length N2 and one such block.
     """
     return _bind_volume(D, n)(rng)
 

@@ -280,6 +280,29 @@ def test_exp_kmeans_file(tmp_path):
     assert all(v in (0.0, 1.0) for *_, v in rep.rows)
 
 
+@pytest.mark.parametrize("extra, message", [
+    ((), "TooManySamplesError: k=4 exceeds 3 columns"),
+    (("--k", 30), "TooManySamplesError: k=30 exceeds 20 columns"),
+    (("--restarts", 0), "ValueError: restarts must be >= 1"),
+    (("--max-iters", 0), "ValueError: max_iters must be >= 1"),
+], ids=["sketch", "full-data-first", "restarts-first", "max-iters-first"])
+def test_exp_kmeans_k_beyond_sketch_n_exits_one_before_lloyd(
+        tmp_path, capsys, monkeypatch, extra, message):
+    from srskit import _kernels
+
+    lloyd, calls = _kernels.lloyd, []
+    monkeypatch.setattr(_kernels, "lloyd",
+                        lambda *a: calls.append(a) or lloyd(*a))
+    mat, lab = gen_arcs(tmp_path, n1=10, n2=10)
+    out = tmp_path / "km.csv"
+    capsys.readouterr()
+    assert run("exp", "kmeans", "--matrix", mat, "--labels", lab, "--k", 4,
+               "--sketch-n", 3, "--seeds", 2, "--seed", 1, "--out", out,
+               *extra) == 1
+    assert capsys.readouterr().err == message + "\n"
+    assert calls == [] and not out.exists()
+
+
 def test_every_output_file_carries_echo(tmp_path):
     mat, lab = gen_arcs(tmp_path)
     files = [mat, lab]

@@ -452,3 +452,25 @@ def test_volume_memory_is_below_one_copy_of_d(rank, n):
         tracemalloc.stop()
     assert np.unique(got).size == n
     assert peak < D.nbytes
+
+
+def test_volume_recomputes_only_where_rounding_can_matter(monkeypatch):
+    # a rank-3 group scaled by 1e8 leaves its own estimates at rounding
+    # level once its span is drawn; only they need exact values, not every
+    # column on every later draw
+    rng = np.random.default_rng(14)
+    dense = rng.standard_normal((100, 5400))
+    scaled = dense.copy()
+    scaled[:, :50] = 1e8 * (rng.standard_normal((100, 3))
+                            @ rng.standard_normal((3, 50)))
+    recompute = samplers._volume_residuals
+    columns = []
+    monkeypatch.setattr(samplers, "_volume_residuals",
+                        lambda D, Q, idx, cols: columns.append(idx.size)
+                        or recompute(D, Q, idx, cols))
+    volume_sampling(dense, 200, np.random.default_rng(15))
+    dense_columns = sum(columns)
+    columns.clear()
+    got = volume_sampling(scaled, 200, np.random.default_rng(15)).indices
+    assert 0 < sum(columns) <= 2 * dense_columns
+    assert (got == volume_oracle(scaled, 200, np.random.default_rng(15))).all()
