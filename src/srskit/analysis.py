@@ -26,6 +26,7 @@ from .matrix import (
     DEFAULT_RANK_TOL,
     ClusterLabels,
     as_matrix,
+    check_rel_tol,
     check_unit_columns,
     normalize_columns,
     numerical_rank,
@@ -229,6 +230,7 @@ def rank_curve(
         raise ValueError("n_grid must be ascending and non-empty")
     if min(n_grid) < 1:
         raise ValueError("grid sizes must be >= 1")
+    check_rel_tol(rel_tol)
     widest = dataclasses.replace(spec, n=max(n_grid))
     rows = [
         (t, spec.method, n, None,
@@ -285,6 +287,8 @@ def kmeans_balance_experiment(
     ground-truth cluster owned a center.
     """
     D = as_matrix(D)
+    if len(labels) != D.shape[1]:
+        raise ValueError("labels length must match column count")
     if sketch_n < 1:
         raise ValueError("sketch_n must be >= 1")
     if seeds < 1:

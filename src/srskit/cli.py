@@ -9,12 +9,16 @@ randomness is involved, and each output file starts with a '#' comment
 echoing the command line (SVG outputs carry the echo in an XML comment).
 Usage errors exit with status 2; data errors exit with status 1 and a
 one-line diagnostic naming the error.
+
+The parser is built once per process, on the first ``main()`` call, so
+in-process callers pay for it once; a shell run is unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import shlex
 import sys
@@ -85,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     arcs.add_argument("--seed", type=int, required=True)
     arcs.add_argument("--out-matrix", required=True)
     arcs.add_argument("--out-labels", required=True)
-    arcs.set_defaults(func=_cmd_gen_arcs)
+    arcs.set_defaults(func="_cmd_gen_arcs")
 
     subs = gsub.add_parser("subspaces", help="union of random low-dim subspaces")
     subs.add_argument("--ambient", type=int, required=True)
@@ -99,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs.add_argument("--seed", type=int, required=True)
     subs.add_argument("--out-matrix", required=True)
     subs.add_argument("--out-labels", required=True)
-    subs.set_defaults(func=_cmd_gen_subspaces)
+    subs.set_defaults(func="_cmd_gen_subspaces")
 
     sk = sub.add_parser("sketch", help="sample columns from a matrix CSV")
     sk.add_argument("--matrix", required=True)
@@ -118,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sk.add_argument("--out-indices", required=True)
     sk.add_argument("--out-columns", default=None,
                     help="also write the selected original columns")
-    sk.set_defaults(func=_cmd_sketch)
+    sk.set_defaults(func="_cmd_sketch")
 
     ev = sub.add_parser("eval", help="score a matrix or an existing sketch")
     esub = ev.add_subparsers(dest="kind", required=True)
@@ -127,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     rank.add_argument("--matrix", required=True)
     rank.add_argument("--rel-tol", type=float, default=DEFAULT_RANK_TOL)
     rank.add_argument("--out", default=None)
-    rank.set_defaults(func=_cmd_eval_rank)
+    rank.set_defaults(func="_cmd_eval_rank")
 
     err = esub.add_parser("error", help="relative projection error of a sketch")
     err.add_argument("--matrix", required=True)
@@ -135,14 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--columns", help="sketch columns as a matrix CSV")
     group.add_argument("--indices", help="sketch as indices into --matrix")
     err.add_argument("--out", default=None)
-    err.set_defaults(func=_cmd_eval_error)
+    err.set_defaults(func="_cmd_eval_error")
 
     cov = esub.add_parser("coverage", help="per-cluster counts of sampled indices")
     cov.add_argument("--labels", required=True)
     cov.add_argument("--indices", required=True)
     cov.add_argument("--n-clusters", type=int, default=None)
     cov.add_argument("--out", default=None)
-    cov.set_defaults(func=_cmd_eval_coverage)
+    cov.set_defaults(func="_cmd_eval_coverage")
 
     exp = sub.add_parser("exp", help="multi-trial experiments -> report CSV")
     xsub = exp.add_subparsers(dest="kind", required=True)
@@ -157,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--rel-tol", type=float, default=DEFAULT_RANK_TOL)
     rc.add_argument("--out", default=None)
     rc.add_argument("--svg", default=None)
-    rc.set_defaults(func=_cmd_exp_rank_curve)
+    rc.set_defaults(func="_cmd_exp_rank_curve")
 
     xc = xsub.add_parser("coverage", help="per-cluster counts per method")
     xc.add_argument("--matrix", required=True)
@@ -169,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     xc.add_argument("--leverage-k", type=int, default=None)
     xc.add_argument("--out", default=None)
     xc.add_argument("--svg", default=None)
-    xc.set_defaults(func=_cmd_exp_coverage)
+    xc.set_defaults(func="_cmd_exp_coverage")
 
     pr = xsub.add_parser("probability", help="per-cluster spatial sampling frequency")
     pr.add_argument("--matrix", required=True)
@@ -179,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--estimator", choices=("srs", "directions", "both"),
                     default="srs")
     pr.add_argument("--out", default=None)
-    pr.set_defaults(func=_cmd_exp_probability)
+    pr.set_defaults(func="_cmd_exp_probability")
 
     bd = xsub.add_parser("bounds", help="sample-complexity bound calculators")
     bd.add_argument("--which", choices=("lemma2", "lemma3", "lemma4"),
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--trials", type=int, default=None)
     bd.add_argument("--seed", type=int, default=None)
     bd.add_argument("--out", default=None)
-    bd.set_defaults(func=_cmd_exp_bounds)
+    bd.set_defaults(func="_cmd_exp_bounds")
 
     km = xsub.add_parser("kmeans", help="balanced-centers check, full vs sketch")
     km.add_argument("--matrix", required=True)
@@ -218,9 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
     km.add_argument("--restarts", type=int, default=10)
     km.add_argument("--max-iters", type=int, default=100)
     km.add_argument("--out", default=None)
-    km.set_defaults(func=_cmd_exp_kmeans)
+    km.set_defaults(func="_cmd_exp_kmeans")
 
     return parser
+
+
+@functools.cache
+def _parser():
+    # one tree per process; main() resolves each ``func`` name at call time
+    return build_parser()
 
 
 # ---------------------------------------------------------------------------
@@ -474,8 +484,7 @@ class UsageError(Exception):
 
 def main(argv=None) -> int:
     raw = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(raw)
+    args = _parser().parse_args(raw)
     echo = shlex.join(["srskit"] + raw)
     try:
         # every output starts with the echo, so check it can be written
@@ -486,7 +495,7 @@ def main(argv=None) -> int:
                 arg.encode("utf-8")
             except UnicodeEncodeError:
                 raise UsageError(f"argument {ascii(arg)} is not UTF-8") from None
-        return args.func(args, echo)
+        return globals()[args.func](args, echo)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

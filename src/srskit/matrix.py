@@ -135,13 +135,18 @@ def check_unit_columns(X: np.ndarray, norms: np.ndarray | None = None) -> np.nda
     return X
 
 
+def check_rel_tol(rel_tol: float) -> None:
+    """Raise ValueError unless ``rel_tol`` is finite and > 0 (NaN is not)."""
+    if not 0.0 < rel_tol < np.inf:
+        raise ValueError("rel_tol must be finite and > 0")
+
+
 def numerical_rank(D: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above ``rel_tol`` times the largest.
 
-    Returns 0 for the all-zero matrix.  ``rel_tol`` must be positive.
+    Returns 0 for the all-zero matrix.  ``rel_tol`` must be finite, > 0.
     """
-    if rel_tol <= 0:
-        raise ValueError("rel_tol must be > 0")
+    check_rel_tol(rel_tol)
     D = as_matrix(D)
     return singular_value_rank(np.linalg.svd(D, compute_uv=False), rel_tol)
 

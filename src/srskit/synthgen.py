@@ -53,6 +53,8 @@ class SubspaceSpec:
     @classmethod
     def homogeneous(cls, ambient, total_rank, n_subspaces, populations, seed=None):
         """All subspaces share dimension total_rank / n_subspaces."""
+        if n_subspaces < 1:
+            raise BadDimsError("n_subspaces must be >= 1")
         if total_rank % n_subspaces != 0:
             raise BadDimsError(
                 f"total rank {total_rank} not divisible by {n_subspaces}"

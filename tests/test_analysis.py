@@ -433,3 +433,25 @@ def test_lemma_empirical_bound_and_rate():
     assert rate == lemma3_empirical(arc, 3, 0.1, 10, 26)
     with pytest.raises(ValueError, match="unknown lemma 'lemma4'"):
         lemma_empirical("lemma4", arc, 3, 0.1, 10, 26)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, -1.0])
+def test_rank_curve_checks_rel_tol_before_any_trial(monkeypatch, rel_tol):
+    from srskit import analysis
+
+    calls = []
+    monkeypatch.setattr(analysis, "_trials", lambda *a: calls.append(a) or [])
+    with pytest.raises(ValueError, match=r"^rel_tol must be finite and > 0$"):
+        rank_curve(np.eye(3), SamplerSpec("srs", 1), [1, 2], 2, 0, rel_tol)
+    assert calls == []
+
+
+def test_kmeans_balance_labels_length_checked_before_lloyd(monkeypatch):
+    from srskit import _kernels
+
+    calls = []
+    monkeypatch.setattr(_kernels, "lloyd", lambda *a: calls.append(a))
+    D, labels = arc_data(1.0, 1.0, 10, 10, seed=24)
+    with pytest.raises(ValueError, match="labels length must match"):
+        kmeans_balance_experiment(D[:, :15], labels, 2, 5, 1, 0)
+    assert calls == []

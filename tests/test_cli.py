@@ -4,6 +4,8 @@ main() is invoked in-process with explicit argv so exit codes and
 stderr diagnostics can be asserted directly.
 """
 
+import argparse
+
 import numpy as np
 import pytest
 
@@ -604,3 +606,166 @@ def test_exp_coverage_runs_one_svd_for_all_trials(tmp_path, monkeypatch):
                "--methods", "srs,leverage", "--n", 5, "--trials", 3,
                "--seed", 1, "--out", tmp_path / "out.csv") == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n1, n2", [(3, 2), (20, 20)], ids=["shorter", "longer"])
+def test_exp_kmeans_labels_length_mismatch_exits_one_before_lloyd(
+        tmp_path, capsys, monkeypatch, n1, n2):
+    from srskit import _kernels
+
+    lloyd, calls = _kernels.lloyd, []
+    monkeypatch.setattr(_kernels, "lloyd",
+                        lambda *a: calls.append(a) or lloyd(*a))
+    mat, _ = gen_arcs(tmp_path, n1=15, n2=15)
+    other = tmp_path / "other"
+    other.mkdir()
+    _, lab = gen_arcs(other, n1=n1, n2=n2)
+    out = tmp_path / "km.csv"
+    capsys.readouterr()
+    assert run("exp", "kmeans", "--matrix", mat, "--labels", lab, "--k", 2,
+               "--sketch-n", 10, "--seeds", 1, "--seed", 1, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        "ValueError: labels length must match column count\n")
+    assert calls == [] and not out.exists()
+
+
+def test_gen_subspaces_zero_subspaces_exits_one(tmp_path, capsys):
+    mat, lab = tmp_path / "D.csv", tmp_path / "L.csv"
+    assert run("gen", "subspaces", "--ambient", 8, "--pops", 5,
+               "--total-rank", 0, "--n-subspaces", 0, "--seed", 1,
+               "--out-matrix", mat, "--out-labels", lab) == 1
+    assert capsys.readouterr().err.startswith("BadDimsError: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", ["eval-rank", "rank-curve"])
+def test_rel_tol_not_finite_and_positive_exits_one(tmp_path, capsys, rel_tol,
+                                                   command):
+    mat, _ = gen_arcs(tmp_path, n1=10, n2=10)
+    out, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+    argv = {
+        "eval-rank": ("eval", "rank", "--matrix", mat, "--out", out),
+        "rank-curve": ("exp", "rank-curve", "--matrix", mat, "--methods",
+                       "srs", "--grid", "2,4", "--trials", 2, "--seed", 1,
+                       "--out", out, "--svg", svg),
+    }[command]
+    capsys.readouterr()
+    assert run(*argv, "--rel-tol", rel_tol) == 1
+    assert capsys.readouterr().err == (
+        "ValueError: rel_tol must be finite and > 0\n")
+    assert not out.exists() and not svg.exists()
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+@pytest.fixture
+def fresh_memo():
+    from srskit import cli
+
+    cli._parser.cache_clear()
+    yield cli
+    cli._parser.cache_clear()
+
+
+def run_caught(*argv):
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_reused_parser_matches_fresh_parser_per_call(
+        tmp_path, capsys, monkeypatch, fresh_memo):
+    sequence = [
+        ("gen", "arcs", "--tau1", 1.2, "--tau2", 0.6, "--n1", 20, "--n2", 20,
+         "--seed", 4, "--out-matrix", "D.csv", "--out-labels", "L.csv"),
+        ("sketch", "--matrix", "D.csv", "--method", "srs", "--n", 5,
+         "--seed", 1, "--out-indices", "i1.csv", "--out-columns", "c1.csv"),
+        ("sketch", "--matrix", "D.csv", "--method", "srs", "--n", 5,
+         "--seed", 1, "--out-indices", "i2.csv"),
+        ("sketch", "--matrix", "D.csv", "--method", "bogus", "--n", 5,
+         "--seed", 1, "--out-indices", "i3.csv"),
+        ("exp", "coverage", "--matrix", "D.csv", "--labels", "L.csv",
+         "--methods", "srs,ris", "--n", 4, "--trials", 2, "--seed", 2,
+         "--svg", "cov.svg"),
+        ("exp", "coverage", "--matrix", "D.csv", "--labels", "L.csv",
+         "--methods", "srs", "--n", 4, "--trials", 2, "--seed", 3,
+         "--out", "cov.csv"),
+    ]
+
+    def replay(name, clear):
+        where = tmp_path / name
+        where.mkdir()
+        monkeypatch.chdir(where)
+        seen = []
+        for argv in sequence:
+            if clear:
+                fresh_memo._parser.cache_clear()
+            seen.append((run_caught(*argv), capsys.readouterr()))
+        files = {p.name: p.read_bytes() for p in sorted(where.iterdir())}
+        return seen, files
+
+    reused, fresh = replay("reused", False), replay("fresh", True)
+    assert reused == fresh
+    assert [rc for rc, _ in reused[0]] == [0, 0, 0, 2, 0, 0]
+    # the second sketch wrote no columns file from a stale default
+    assert sorted(reused[1]) == ["D.csv", "L.csv", "c1.csv", "cov.csv",
+                                 "cov.svg", "i1.csv", "i2.csv"]
+    assert reused[1]["i1.csv"].splitlines()[1:] == (
+        reused[1]["i2.csv"].splitlines()[1:])
+
+
+def test_build_parser_runs_once_across_main_calls(
+        tmp_path, monkeypatch, fresh_memo):
+    builds = []
+    build = fresh_memo.build_parser
+    monkeypatch.setattr(fresh_memo, "build_parser",
+                        lambda: builds.append(1) or build())
+    mat, _ = gen_arcs(tmp_path, n1=10, n2=10)
+    for seed in range(4):
+        assert run("sketch", "--matrix", mat, "--method", "srs", "--n", 3,
+                   "--seed", seed, "--out-indices", tmp_path / "i.csv") == 0
+    assert run("eval", "rank", "--matrix", mat) == 0
+    assert builds == [1]
+    # a fresh parser is still built on every direct call
+    assert build() is not build()
+
+
+def test_rebound_command_body_runs_after_parser_is_cached(
+        tmp_path, monkeypatch, fresh_memo):
+    mat, _ = gen_arcs(tmp_path, n1=10, n2=10)
+    assert fresh_memo._parser.cache_info().currsize == 1
+    calls = []
+    monkeypatch.setattr(fresh_memo, "_cmd_sketch",
+                        lambda args, echo: calls.append(args.n) or 0)
+    assert run("sketch", "--matrix", mat, "--method", "srs", "--n", 3,
+               "--seed", 1, "--out-indices", tmp_path / "i.csv") == 0
+    assert calls == [3] and not (tmp_path / "i.csv").exists()
+
+
+def _leaf_commands(parser, prefix=()):
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [prefix]
+    return [leaf for name, child in subs[0].choices.items()
+            for leaf in _leaf_commands(child, prefix + (name,))]
+
+
+def test_help_from_reused_parser_matches_fresh_parser(
+        capsys, monkeypatch, fresh_memo):
+    monkeypatch.setenv("COLUMNS", "100")
+    leaves = _leaf_commands(fresh_memo.build_parser())
+    assert len(leaves) == 11
+    for prefix in [()] + leaves * 2:
+        with pytest.raises(SystemExit) as info:
+            run(*prefix, "--help")
+        assert info.value.code == 0
+        reused = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            fresh_memo.build_parser().parse_args([*prefix, "--help"])
+        assert reused == capsys.readouterr(), prefix
+        assert reused.out.startswith("usage: srskit")

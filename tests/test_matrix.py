@@ -125,3 +125,9 @@ def test_approximation_error_nested_monotone():
         err = approximation_error(D, D[:, perm[:size]])
         assert err <= prev + 1e-10
         prev = err
+
+
+@pytest.mark.parametrize("rel_tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_numerical_rank_needs_finite_positive_rel_tol(rel_tol):
+    with pytest.raises(ValueError, match=r"^rel_tol must be finite and > 0$"):
+        numerical_rank(np.eye(3), rel_tol=rel_tol)

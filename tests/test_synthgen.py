@@ -145,3 +145,9 @@ def test_subspace_determinism():
     a, _ = gen_union_subspaces(spec)
     b, _ = gen_union_subspaces(spec)
     assert (a == b).all()
+
+
+@pytest.mark.parametrize("n_subspaces", [0, -1])
+def test_subspace_homogeneous_needs_a_subspace(n_subspaces):
+    with pytest.raises(BadDimsError, match=r"^n_subspaces must be >= 1$"):
+        SubspaceSpec.homogeneous(8, 0, n_subspaces, 5)
