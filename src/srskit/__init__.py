@@ -7,6 +7,8 @@ baselines (uniform, norm, leverage, volume), random embeddings,
 synthetic generators, and seeded experiment drivers.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     BoundParams,
     ExperimentReport,
@@ -87,75 +89,9 @@ from .synthgen import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "METHODS",
-    "KINDS",
-    "ArcOverlapError",
-    "ArcSpec",
-    "BadArcLengthsError",
-    "BadBetaError",
-    "BadDimsError",
-    "BadParamsError",
-    "BadTargetDimError",
-    "BoundParams",
-    "ClusterLabels",
-    "EmbeddingSpec",
-    "EmptySketchError",
-    "ExperimentReport",
-    "NotNormalizedError",
-    "ParseError",
-    "RankDeficientKError",
-    "SamplerSpec",
-    "ShapeError",
-    "SketchResult",
-    "SrskitError",
-    "SubspaceSpec",
-    "TooManySamplesError",
-    "ZeroColumnError",
-    "ZeroMatrixError",
-    "apply_embedding",
-    "approximation_error",
-    "as_matrix",
-    "assign_to_columns",
-    "balanced_centers_check",
-    "build_embedding",
-    "column_norms_ok",
-    "coverage_experiment",
-    "empirical_sampling_probabilities",
-    "estimate_region_areas",
-    "gen_arc_clusters",
-    "gen_union_subspaces",
-    "kmeans",
-    "kmeans_balance_experiment",
-    "lemma2_bound",
-    "lemma2_empirical",
-    "lemma3_bound",
-    "lemma3_empirical",
-    "lemma4_bound",
-    "leverage_probabilities",
-    "leverage_sampling",
-    "load_csv",
-    "load_indices",
-    "load_labels",
-    "load_report",
-    "min_beta",
-    "norm_sampling",
-    "normalize_columns",
-    "numerical_rank",
-    "per_cluster_means",
-    "per_x_summary",
-    "rank_curve",
-    "report_values",
-    "ris",
-    "sample_columns",
-    "sample_gaussian_directions",
-    "save_csv",
-    "save_indices",
-    "save_labels",
-    "srs_select_indices",
-    "srs_with_replacement",
-    "srs_without_replacement",
-    "validate_arc_spec",
-    "validate_subspace_spec",
-    "volume_sampling",
-]
+# every public name bound above; the submodules are attributes too, and a
+# star import must not bind them (``io`` would shadow the standard library)
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -91,23 +91,17 @@ def nearest_stack(a: np.ndarray, a_norms: np.ndarray, B: np.ndarray) -> np.ndarr
     return labels
 
 
-def pick_argmax(
-    absq: np.ndarray, tol: np.ndarray | None = None, score=None
-) -> np.ndarray:
-    """Row-wise argmax of a block of absolute projections.
+def pick_argmax(absq: np.ndarray, tol: np.ndarray, score) -> np.ndarray:
+    """Row-wise argmax of a screen of absolute projections.
 
-    Without ``score`` the entries of ``absq`` are exact: row i picks its
-    largest entry, ties to the lowest column index.  With it, ``absq`` is
-    a screen: each entry of row i is within ``tol[i] / 2`` of its exact
+    Each entry of row i of ``absq`` is within ``tol[i] / 2`` of its exact
     score, which ``score(rows, cols)`` returns for (row, column) pairs.
-    Row i then picks, among its entries within ``tol[i]`` of the row's
+    Row i picks, among its entries within ``tol[i]`` of the row's
     maximum, the best exact score, ties to the lowest index; exact scores
     are computed only for rows with two or more such entries.  ``absq``
     is written to and restored.
     """
     best = absq.argmax(axis=1)
-    if score is None:
-        return best
     r = np.arange(absq.shape[0])
     top = absq[r, best]
     # top - tol in float64, rounded to the screen's dtype and then one step
@@ -127,30 +121,22 @@ def pick_argmax(
 
 
 def pick_distinct_argmax(
-    absq: np.ndarray,
-    taken: np.ndarray | None = None,
-    tol: np.ndarray | None = None,
-    score=None,
+    absq: np.ndarray, taken: np.ndarray, tol: np.ndarray, score
 ) -> np.ndarray:
     """Row-by-row argmax with exclusion of already-picked columns.
 
     ``absq`` is an (n, N2) block of absolute projections; row i picks
     the best not-yet-taken column by the rule of ``pick_argmax`` (which
     ``tol`` and ``score`` are passed to).  ``taken`` is the (N2,) mask
-    of columns picked before this block (none when omitted); the block's
-    picks are marked in it in place.  Only rows whose unrestricted pick
-    is already taken are searched again with the taken columns masked.
+    of columns picked before this block; the block's picks are marked in
+    it in place.  Only rows whose unrestricted pick is already taken are
+    searched again with the taken columns masked.
     """
-    if taken is None:
-        taken = np.zeros(absq.shape[1], dtype=bool)
     out = pick_argmax(absq, tol, score)
     for i, k in enumerate(out):
         if taken[k]:
             row = np.where(taken, -np.inf, absq[i : i + 1])
-            if score is None:
-                k = row.argmax()
-            else:
-                k = pick_argmax(row, tol[i : i + 1], lambda r, c: score(r + i, c))[0]
+            k = pick_argmax(row, tol[i : i + 1], lambda r, c: score(r + i, c))[0]
             out[i] = k
         taken[k] = True
     return out

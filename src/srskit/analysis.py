@@ -38,7 +38,6 @@ from .samplers import (
     sample_gaussian_directions,
     sampler_input,
     srs_select_unchecked,
-    srs_with_replacement,
 )
 from .synthgen import ArcSpec, gen_arc_clusters
 
@@ -150,6 +149,25 @@ def per_cluster_means(
 # region areas and sampling probabilities
 
 
+def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
+    """Per-cluster fractions of T spatial draws with replacement from the
+    unit columns of ``X``, holding the T x N1 direction matrix.  Tied
+    columns go to the lowest column index, or with ``by_cluster`` to the
+    lowest cluster id: selection then sees the columns sorted by cluster.
+    """
+    X = check_unit_columns(*as_matrix_with_norms(X))
+    if T < 1:
+        raise ValueError("T must be >= 1")
+    if len(labels) != X.shape[1]:
+        raise ValueError("labels length must match column count")
+    if T > np.iinfo(np.intp).max:
+        raise ValueError(f"n={T} is more draws than an array can hold")
+    order = np.argsort(labels.values, kind="stable") if by_cluster else slice(None)
+    phi = sample_gaussian_directions(T, X.shape[0], rng)
+    pos = srs_select_unchecked(X[:, order], phi, with_replacement=True)
+    return np.bincount(labels.values[order][pos], minlength=labels.n_clusters) / T
+
+
 def estimate_region_areas(
     X: np.ndarray,
     labels: ClusterLabels,
@@ -161,21 +179,9 @@ def estimate_region_areas(
     Draws T random directions and assigns each to the cluster whose
     columns reach the largest absolute inner product with it; ties go to
     the lowest cluster id.  This is spatial selection with replacement
-    (``srs_select_indices``) on the columns sorted by cluster, so it
-    holds the T x N1 direction matrix, as ``srs_with_replacement`` does.
-    The returned fractions sum to 1.
+    on the columns sorted by cluster.  The returned fractions sum to 1.
     """
-    X = check_unit_columns(*as_matrix_with_norms(X))
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if len(labels) != X.shape[1]:
-        raise ValueError("labels length must match column count")
-    # selection sees the columns in cluster order, so the first of tied
-    # columns belongs to the lowest cluster id
-    order = np.argsort(labels.values, kind="stable")
-    phi = sample_gaussian_directions(T, X.shape[0], rng)
-    pos = srs_select_unchecked(X[:, order], phi, with_replacement=True)
-    return np.bincount(labels.values[order[pos]], minlength=labels.n_clusters) / T
+    return _spatial_fractions(X, labels, T, rng, by_cluster=True)
 
 
 def empirical_sampling_probabilities(
@@ -185,12 +191,7 @@ def empirical_sampling_probabilities(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Per-cluster frequency over T spatial draws with replacement."""
-    X = as_matrix(X)
-    if len(labels) != X.shape[1]:
-        raise ValueError("labels length must match column count")
-    result = srs_with_replacement(X, T, rng)
-    picked = labels.values[result.indices]
-    return np.bincount(picked, minlength=labels.n_clusters) / T
+    return _spatial_fractions(X, labels, T, rng, by_cluster=False)
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +414,8 @@ def lemma4_bound(p: BoundParams) -> float:
         raise BadParamsError("lemma4_bound needs r, s, populations, min_p")
     if p.r < 1 or p.s < 1 or not p.c > 0 or not 0.0 < p.delta < 1.0:
         raise BadParamsError("need r, s >= 1, c > 0, 0 < delta < 1")
-    if not p.min_p > 0:
-        raise BadParamsError("min_p must be positive")
+    if not 0 < p.min_p <= 1:
+        raise BadParamsError("min_p must be in (0, 1]")
     if any(pop < 1 for pop in p.populations):
         raise BadParamsError("populations must be >= 1")
     log_2r = math.log(2.0 * p.r / p.delta)

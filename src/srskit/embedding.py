@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadTargetDimError, ShapeError
-from .matrix import as_matrix
+from .matrix import as_matrix, spec_rng
 
 KINDS = ("rows", "gaussian", "sparse", "rademacher")
 
@@ -47,10 +47,7 @@ def build_embedding(
     spec: EmbeddingSpec, N1: int, rng: np.random.Generator | None = None
 ) -> np.ndarray:
     """Draw the p x N1 embedding matrix for ``spec``."""
-    if rng is None:
-        if spec.seed is None:
-            raise ValueError("either rng or spec.seed is required")
-        rng = np.random.default_rng(spec.seed)
+    rng = spec_rng(rng, spec)
     p = spec.p
     if spec.kind == "rows":
         if p > N1:

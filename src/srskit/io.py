@@ -150,6 +150,8 @@ def load_labels(path, n_clusters: int | None = None) -> ClusterLabels:
     When ``n_clusters`` is given, any id outside 0..n_clusters-1 is a
     ParseError; otherwise the cluster count is inferred as max id + 1.
     """
+    if n_clusters is not None and n_clusters < 1:
+        raise ShapeError("n_clusters must be >= 1")
     values = _load_ints(path, "labels", "cluster id", n_clusters)
     s = n_clusters if n_clusters is not None else int(values.max()) + 1
     return ClusterLabels(values, s)

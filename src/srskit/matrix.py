@@ -94,6 +94,15 @@ class SketchResult:
         return self.indices.size
 
 
+def spec_rng(rng: np.random.Generator | None, spec) -> np.random.Generator:
+    """``rng``, else ``default_rng(spec.seed)``; one of them is required."""
+    if rng is not None:
+        return rng
+    if spec.seed is None:
+        raise ValueError("either rng or spec.seed is required")
+    return np.random.default_rng(spec.seed)
+
+
 def column_norms(X: np.ndarray) -> np.ndarray:
     """l2-norm of every column of ``X``."""
     return np.sqrt(np.einsum("ij,ij->j", X, X))

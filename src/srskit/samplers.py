@@ -51,6 +51,7 @@ from .matrix import (
     check_unit_columns,
     column_norms,
     singular_value_rank,
+    spec_rng,
 )
 
 # method name -> binder run by bind: ``(M, spec) -> draw``, where
@@ -674,8 +675,5 @@ def sample_columns(
     When ``rng`` is omitted it is derived from ``spec.seed``, which the
     result carries when set.
     """
-    if rng is None:
-        if spec.seed is None:
-            raise ValueError("either rng or spec.seed is required")
-        rng = np.random.default_rng(spec.seed)
+    rng = spec_rng(rng, spec)
     return bind(M, spec)(rng)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArcOverlapError, BadArcLengthsError, BadDimsError
-from .matrix import ClusterLabels, column_norms
+from .matrix import ClusterLabels, column_norms, spec_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -103,10 +103,7 @@ def gen_arc_clusters(
 ) -> tuple[np.ndarray, ClusterLabels]:
     """Unit-circle points spread uniformly over two disjoint arcs."""
     validate_arc_spec(spec)
-    if rng is None:
-        if spec.seed is None:
-            raise ValueError("either rng or spec.seed is required")
-        rng = np.random.default_rng(spec.seed)
+    rng = spec_rng(rng, spec)
     angles = np.concatenate(
         [
             spec.center1 + spec.tau1 * (rng.random(spec.n1) - 0.5),
@@ -141,10 +138,7 @@ def gen_union_subspaces(
     all columns are unit norm.
     """
     validate_subspace_spec(spec)
-    if rng is None:
-        if spec.seed is None:
-            raise ValueError("either rng or spec.seed is required")
-        rng = np.random.default_rng(spec.seed)
+    rng = spec_rng(rng, spec)
     blocks = []
     for d, pop in zip(spec.dims, spec.populations):
         basis, _ = np.linalg.qr(rng.standard_normal((spec.ambient, d)))

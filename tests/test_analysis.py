@@ -455,3 +455,48 @@ def test_kmeans_balance_labels_length_checked_before_lloyd(monkeypatch):
     with pytest.raises(ValueError, match="labels length must match"):
         kmeans_balance_experiment(D[:, :15], labels, 2, 5, 1, 0)
     assert calls == []
+
+
+@pytest.mark.parametrize("min_p", [math.inf, 2.0, 0.0, math.nan])
+def test_lemma4_bound_min_p_must_be_a_probability(min_p):
+    # inf gave a bound of 0.0, and 2 one below the bound at min_p = 1
+    with pytest.raises(BadParamsError, match=r"^min_p must be in \(0, 1\]$"):
+        lemma4_bound(BoundParams(m=2, delta=0.1, r=2, s=2, populations=(3, 4),
+                                 min_p=min_p))
+
+
+def test_lemma4_bound_takes_min_p_one():
+    params = BoundParams(m=2, delta=0.1, r=2, s=2, populations=(3, 4), min_p=1.0)
+    half = BoundParams(m=2, delta=0.1, r=2, s=2, populations=(3, 4), min_p=0.5)
+    assert lemma4_bound(half) == 2.0 * lemma4_bound(params)
+
+
+def test_estimators_are_spatial_selection_with_replacement():
+    from srskit import srs_with_replacement
+
+    # column 0 (cluster 1) and column 2 (cluster 0) are one point: the
+    # draws it wins go to column 0 by index, but to cluster 0 by area
+    angles = np.array([0.3, 1.4, 0.3, 2.5])
+    X = np.vstack([np.cos(angles), np.sin(angles)])
+    labels = ClusterLabels(np.array([1, 0, 0, 1]), 2)
+    T = 500
+    ref = np.random.default_rng(41)
+    picks = srs_with_replacement(X, T, ref).indices
+    assert (picks == 0).any() and not (picks == 2).any()
+    for estimate, owner in [(empirical_sampling_probabilities, labels.values),
+                            (estimate_region_areas, np.array([0, 0, 0, 1]))]:
+        rng = np.random.default_rng(41)
+        got = estimate(X, labels, T, rng)
+        assert (got == np.bincount(owner[picks], minlength=2) / T).all()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("estimate", [estimate_region_areas,
+                                      empirical_sampling_probabilities])
+def test_estimators_reject_more_draws_than_an_array_holds(estimate):
+    D, labels = arc_data(1.0, 1.0, 5, 5, seed=42)
+    rng = np.random.default_rng(43)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^n=10{20} is more draws than an"):
+        estimate(D, labels, 10**20, rng)
+    assert rng.bit_generator.state == state

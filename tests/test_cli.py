@@ -769,3 +769,43 @@ def test_help_from_reused_parser_matches_fresh_parser(
             fresh_memo.build_parser().parse_args([*prefix, "--help"])
         assert reused == capsys.readouterr(), prefix
         assert reused.out.startswith("usage: srskit")
+
+
+@pytest.mark.parametrize("min_p", ["inf", "2", "0", "nan"])
+def test_exp_bounds_min_p_outside_unit_interval_exits_one(tmp_path, capsys,
+                                                           min_p):
+    # inf printed a bound of 0.0 and 2 a bound of 58.12, both exiting 0
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert run("exp", "bounds", "--which", "lemma4", "--m", 2, "--delta", 0.1,
+               "--r", 2, "--s", 2, "--pops", "3,4", "--min-p", min_p,
+               "--out", out) == 1
+    assert capsys.readouterr().err == "BadParamsError: min_p must be in (0, 1]\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_clusters", [0, -1])
+def test_eval_coverage_n_clusters_below_one_exits_one(tmp_path, capsys,
+                                                      n_clusters):
+    lab, idx, out = tmp_path / "L.csv", tmp_path / "I.csv", tmp_path / "c.csv"
+    lab.write_text("0\n1\n1\n")
+    idx.write_text("2\n0\n")
+    capsys.readouterr()
+    assert run("eval", "coverage", "--labels", lab, "--indices", idx,
+               "--n-clusters", n_clusters, "--out", out) == 1
+    assert capsys.readouterr().err == "ShapeError: n_clusters must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["srs", "directions", "both"])
+def test_exp_probability_draws_beyond_an_array_exits_one(tmp_path, capsys,
+                                                         estimator):
+    mat, lab = gen_arcs(tmp_path, n1=20, n2=20)
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    assert run("exp", "probability", "--matrix", mat, "--labels", lab,
+               "--draws", HUGE_N, "--seed", 1, "--estimator", estimator,
+               "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"ValueError: n={HUGE_N} is more draws than an array can hold\n")
+    assert not out.exists()

@@ -271,3 +271,10 @@ def test_ints_read_as_int_does(tmp_path, token, limit):
             continue
         assert got.dtype == np.int64
         assert got.tolist() == want, lines
+
+
+@pytest.mark.parametrize("n_clusters", [0, -1])
+def test_load_labels_needs_a_cluster_before_reading(tmp_path, n_clusters):
+    # the file does not exist: the count is checked before it is opened
+    with pytest.raises(ShapeError, match=r"^n_clusters must be >= 1$"):
+        load_labels(tmp_path / "missing.csv", n_clusters=n_clusters)

@@ -25,6 +25,16 @@ def oracle_pick_distinct_argmax(absq):
     return out
 
 
+def exact_pick_distinct_argmax(absq, taken=None):
+    """``pick_distinct_argmax`` on an exact screen: ``tol`` is zero and the
+    exact score of an entry is the entry itself."""
+    if taken is None:
+        taken = np.zeros(absq.shape[1], dtype=bool)
+    exact = absq.copy()
+    return _kernels.pick_distinct_argmax(
+        absq, taken, np.zeros(absq.shape[0]), lambda r, c: exact[r, c])
+
+
 def oracle_lloyd(points, centers, max_iters):
     """Lloyd with explicit per-point loops and running cluster sums."""
     n, d = points.shape
@@ -67,7 +77,7 @@ def test_pick_distinct_argmax_backends_agree():
         n2 = int(rng.integers(1, 40))
         n = int(rng.integers(1, n2 + 1))
         absq = np.abs(rng.standard_normal((n, n2)))
-        a = _kernels.pick_distinct_argmax(absq)
+        a = exact_pick_distinct_argmax(absq)
         b = oracle_pick_distinct_argmax(absq)
         assert (a == b).all()
 
@@ -83,7 +93,7 @@ def tie_heavy_matrices(draw):
 @settings(deadline=None)
 @given(tie_heavy_matrices())
 def test_pick_distinct_argmax_matches_oracle_on_ties(absq):
-    picked = _kernels.pick_distinct_argmax(absq)
+    picked = exact_pick_distinct_argmax(absq)
     assert (picked == oracle_pick_distinct_argmax(absq)).all()
     assert np.unique(picked).size == picked.size
 
@@ -96,8 +106,8 @@ def test_pick_distinct_argmax_blocks_share_taken(absq, data):
     cut = data.draw(st.integers(0, absq.shape[0]))
     taken = np.zeros(absq.shape[1], dtype=bool)
     picked = np.concatenate([
-        _kernels.pick_distinct_argmax(absq[:cut], taken),
-        _kernels.pick_distinct_argmax(absq[cut:], taken),
+        exact_pick_distinct_argmax(absq[:cut], taken),
+        exact_pick_distinct_argmax(absq[cut:], taken),
     ])
     assert (picked == oracle_pick_distinct_argmax(absq)).all()
     assert (np.flatnonzero(taken) == np.sort(picked)).all()
@@ -105,13 +115,13 @@ def test_pick_distinct_argmax_blocks_share_taken(absq, data):
 
 def test_pick_distinct_argmax_tie_lowest_index():
     absq = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]])
-    assert list(_kernels.pick_distinct_argmax(absq)) == [0, 1]
+    assert list(exact_pick_distinct_argmax(absq)) == [0, 1]
 
 
 def test_pick_distinct_argmax_exclusion():
     # one dominant column; later rows must fall back to the runner-up
     absq = np.array([[9.0, 1.0, 2.0], [9.0, 1.0, 2.0], [9.0, 1.0, 2.0]])
-    assert list(_kernels.pick_distinct_argmax(absq)) == [0, 2, 1]
+    assert list(exact_pick_distinct_argmax(absq)) == [0, 2, 1]
 
 
 def test_lloyd_backends_agree():
