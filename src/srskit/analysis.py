@@ -349,6 +349,11 @@ class BoundParams:
     min_p: float | None = None
     c: float = 1.0
 
+    def __post_init__(self):
+        # written so that NaN fails; lemma4 is the bound that reads c
+        if not 0 < self.c < math.inf:
+            raise BadParamsError(f"c={self.c} must be finite and > 0")
+
 
 def _finite(fn):
     """``fn``, raising BadParamsError where its inputs drive the result to
@@ -412,8 +417,8 @@ def lemma4_bound(p: BoundParams) -> float:
     """Draws sufficient for the sketch to span the full column space."""
     if p.r is None or p.s is None or not p.populations or p.min_p is None:
         raise BadParamsError("lemma4_bound needs r, s, populations, min_p")
-    if p.r < 1 or p.s < 1 or not p.c > 0 or not 0.0 < p.delta < 1.0:
-        raise BadParamsError("need r, s >= 1, c > 0, 0 < delta < 1")
+    if p.r < 1 or p.s < 1 or not 0.0 < p.delta < 1.0:
+        raise BadParamsError("need r, s >= 1, 0 < delta < 1")
     if not 0 < p.min_p <= 1:
         raise BadParamsError("min_p must be in (0, 1]")
     if any(pop < 1 for pop in p.populations):

@@ -429,12 +429,13 @@ def _cmd_exp_probability(args, echo):
 
 
 def _cmd_exp_bounds(args, echo):
+    # the flags of exp bounds are named after the BoundParams fields, and
+    # building them checks --c for every --which
+    params = analysis.BoundParams(**{
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(analysis.BoundParams)
+    })
     if not args.empirical:
-        # the flags of exp bounds are named after the BoundParams fields
-        params = analysis.BoundParams(**{
-            f.name: getattr(args, f.name)
-            for f in dataclasses.fields(analysis.BoundParams)
-        })
         value = getattr(analysis, f"{args.which}_bound")(params)
         rows = [(0, f"{args.which}_bound", args.m, None, value)]
     else:
@@ -501,6 +502,10 @@ def main(argv=None) -> int:
         return 2
     except (SrskitError, OSError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy raises a subclass named _ArrayMemoryError
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,18 +8,31 @@ by every loader.
 
 Files are UTF-8 text; a line that is not is a ParseError naming it.
 Reading and writing stream line by line: beyond the matrix itself, a
-load or save holds one line or row of text at a time.  Every text
-output, report CSVs included, goes through ``write_lines``: the
-comment echo as '#' lines, then the lines, to a path or an open stream.
+load or save holds one line or row of text at a time in each process.
+A large matrix file is parsed in contiguous line spans, one per worker
+(``samplers._workers``): the first by the calling process, each other
+by a child made with ``os.fork`` that writes its rows to a shared
+anonymous mapping; the array is the serial parse's, bit for bit, and
+any irregularity falls back to the serial parse, which names the line.
+Every text output, report CSVs included, goes through ``write_lines``:
+the comment echo as '#' lines, then the lines, to a path or an open
+stream.
 """
 
 from __future__ import annotations
 
+import io as _stdio
 import itertools
-from contextlib import closing
+import mmap
+import os
+import signal
+import struct
+import threading
+from contextlib import closing, suppress
 
 import numpy as np
 
+from . import samplers
 from .errors import ParseError, ShapeError
 from .matrix import ClusterLabels, SketchResult, as_matrix
 
@@ -47,14 +60,32 @@ def write_lines(out, lines, comment: str | None = None) -> None:
         out.write("\n")
 
 
-def numbered_lines(path):
-    """Yield (1-based line number, line) of a UTF-8 text file.
+class _SpanFile(_stdio.FileIO):
+    """Bytes [start, stop) of a file, read as if they were all of it."""
+
+    def __init__(self, path, start: int, stop: int):
+        super().__init__(path)
+        self.seek(start)
+        self._left = stop - start
+
+    def readinto(self, buffer):
+        n = super().readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+
+def numbered_lines(path, span=None):
+    """Yield (1-based line number, line) of a UTF-8 text file, or of the
+    lines in bytes [a, b) of it for ``span=(a, b)``, numbered from the
+    line at a.
 
     Newlines are universal, as with ``open``.  Raises ParseError at the
     first line that is not UTF-8.
     """
+    binary = _stdio.FileIO(path) if span is None else _SpanFile(path, *span)
     # undecodable bytes come through as lone surrogates, caught per line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with _stdio.TextIOWrapper(_stdio.BufferedReader(binary), encoding="utf-8",
+                              errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             if not raw.isascii():
                 try:
@@ -69,9 +100,9 @@ def _is_data(line: str) -> bool:
     return bool(line.strip()) and not line.lstrip().startswith("#")
 
 
-def _data_lines(path):
+def _data_lines(path, span=None):
     """Yield (1-based line number, stripped text) skipping comments/blanks."""
-    for lineno, raw in numbered_lines(path):
+    for lineno, raw in numbered_lines(path, span):
         text = raw.rstrip("\n").rstrip("\r")
         if _is_data(text):
             yield lineno, text
@@ -85,36 +116,161 @@ def save_csv(D: np.ndarray, path, comment: str | None = None) -> None:
 
 
 def load_csv(path) -> np.ndarray:
-    """Read a matrix CSV; raises ParseError/ShapeError on bad content."""
-    linenos = []
+    """Read a matrix CSV; raises ParseError/ShapeError on bad content.
 
-    def texts(numbered):
-        for lineno, text in numbered:
+    A large file is parsed in line spans, one per worker (``_line_spans``),
+    the first here and each other in a forked child (``_load_spans``): the
+    array is the serial parse's, bit for bit, and any irregularity falls
+    back to the serial parse, which names the line.
+    """
+    edges = _line_spans(path)
+    D = None if edges is None else _load_spans(path, edges)
+    return _load_serial(path) if D is None else D
+
+
+def _loadtxt(numbered, linenos: list):
+    """``np.loadtxt`` over the texts of (line number, text) rows, appending
+    each line number to ``linenos``; None when there are none."""
+    first = next(numbered, None)
+    if first is None:
+        # loadtxt only warns on an empty input
+        return None
+
+    def texts():
+        for lineno, text in itertools.chain([first], numbered):
             linenos.append(lineno)
             yield text
 
+    return np.loadtxt(texts(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+
+
+def _load_serial(path) -> np.ndarray:
+    linenos = []
     with closing(_data_lines(path)) as numbered:
-        first = next(numbered, None)
-        if first is None:
-            # loadtxt only warns on an empty input
-            raise ParseError(1, "empty matrix file")
         try:
-            D = np.loadtxt(
-                texts(itertools.chain([first], numbered)),
-                delimiter=",",
-                comments=None,
-                dtype=np.float64,
-                ndmin=2,
-            )
+            D = _loadtxt(numbered, linenos)
         except ValueError:
             # a ragged row or a field loadtxt cannot read: the line loop,
             # on a second read, names the line, and also takes the fields
             # only float() accepts (``1_0``)
             with closing(_data_lines(path)) as again:
                 return _parse_rows(again)
+    if D is None:
+        raise ParseError(1, "empty matrix file")
     bad = np.flatnonzero(~np.isfinite(D).all(axis=1))
     if bad.size:
         raise ParseError(linenos[bad[0]], "non-finite value")
+    return D
+
+
+# The size from which load_csv parses a matrix file in line spans.  On 2
+# CPUs (1 BLAS thread, alternating pairs of serial and split loads of
+# 100-row files) the split lost at 0.2-0.3 MB: a fork, the child's start
+# and its exit cost about 3 ms.  From 0.5 to 1 MB it won 7 to 54 of 60
+# pairs, varying from run to run; from 1.1 MB it won most runs by 48 to 58
+# of 60, at 0.7 to 0.9 of the serial time, and 11 MB at 0.6 to 0.75.
+_SPLIT_BYTES = 1 << 20
+
+
+def _line_spans(path) -> list | None:
+    """Offsets 0 = e0 < e1 < ... < ek, the file's size, of k >= 2 spans of
+    whole lines, one per worker (``samplers._workers``), each but the first
+    starting at the first line start from i/k of the file on; None when
+    the file is to be parsed in one piece.
+
+    A file is split only when it has ``_SPLIT_BYTES`` or more, there are
+    two workers or more, ``os.fork`` exists and this process runs one
+    thread and one BLAS thread: a child forked from a process with other
+    threads can deadlock on a lock one of them held.
+    """
+    k = samplers._workers()
+    if (k < 2 or not hasattr(os, "fork") or threading.active_count() > 1
+            or samplers._blas_threads() > 1):
+        return None
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _SPLIT_BYTES:
+            return None
+        edges = [0]
+        for i in range(1, k):
+            # a line start is 0 or just after a LF, alone or in a CRLF
+            fh.seek(max(edges[-1], size * i // k - 1))
+            for part in iter(lambda: fh.readline(1 << 16), b""):
+                if part.endswith(b"\n"):
+                    break
+            if fh.tell() == size:
+                break
+            edges.append(fh.tell())
+    return edges + [size] if len(edges) > 1 else None
+
+
+def _load_spans(path, edges: list) -> np.ndarray | None:
+    """The rows of each line span [a, b) of ``edges`` in order: the first
+    parsed here, each other in a forked child that writes them to a shared
+    anonymous mapping.  None, once every child is reaped, on any
+    irregularity: a bad line, a span with no data, widths that differ, a
+    non-finite value, or a failed fork, mapping or child."""
+    maps, pids = [], []
+    try:
+        for span in zip(edges[1:-1], edges[2:]):
+            # a span of B bytes holds at most (B + 1) // 2 fields
+            maps.append(mmap.mmap(-1, 16 + 4 * (span[1] - span[0] + 1)))
+            pid = os.fork()
+            if pid == 0:
+                _span_child(maps[-1], path, span)
+            pids.append(pid)
+        first = _span_rows(path, (0, edges[1]))
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                return None
+        shapes = [first.shape] + [struct.unpack_from("qq", mm) for mm in maps]
+        if len({cols for _, cols in shapes}) > 1:
+            return None
+        D = np.empty((sum(rows for rows, _ in shapes), shapes[0][1]))
+        at = len(first)
+        D[:at] = first
+        del first
+        for mm, (rows, cols) in zip(maps, shapes[1:]):
+            D[at : at + rows] = np.frombuffer(mm, np.float64, rows * cols, 16).reshape(rows, cols)
+            at += rows
+        return D
+    except (ParseError, ValueError, OSError):
+        return None
+    finally:
+        # children are left only when this process raised or a child
+        # failed; one may be gone already if SIGCHLD is ignored
+        for pid in pids:
+            with suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for mm in maps:
+            mm.close()
+
+
+def _span_child(mm: mmap.mmap, path, span) -> None:
+    """In a forked child: write the shape, then the rows, of a line span
+    to ``mm``, and exit 0; exit 1 on any failure.  Never returns, so the
+    child runs none of its caller's code, flushes no inherited buffer
+    and runs no exit handler."""
+    status = 1
+    try:
+        D = _span_rows(path, span)
+        struct.pack_into("qq", mm, 0, *D.shape)
+        np.frombuffer(mm, np.float64, D.size, 16)[:] = D.ravel()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _span_rows(path, span) -> np.ndarray:
+    """The rows of a line span, parsed as the serial path parses them;
+    ValueError when it has no data line or a value that is not finite."""
+    with closing(_data_lines(path, span)) as numbered:
+        D = _loadtxt(numbered, [])
+    if D is None or not np.isfinite(D).all():
+        raise ValueError("no data, or a non-finite value")
     return D
 
 

@@ -91,20 +91,28 @@ _FLOAT32_MIN_N1 = 4
 _pool = None
 
 
-def _workers() -> int:
-    """Threads a pass over X is split across: the CPUs this process may run
-    on, over the threads OpenBLAS runs a GEMM on (the first positive
-    integer in OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else every CPU, as
-    OpenBLAS does); at least one.  On 2 CPUs with OpenBLAS on both, two
-    workers made selection slower: 85 against 79 ms, the medians of six
-    alternating runs (srs, n=400 on 100 x 50,000)."""
+def _cpus() -> int:
+    """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """The threads OpenBLAS runs a GEMM on: the first positive integer in
+    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else every CPU, as OpenBLAS
+    does."""
     values = (os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    blas = next((int(v) for v in values if v.strip().isdigit() and int(v) > 0), cpus)
-    return max(1, cpus // blas)
+    return next((int(v) for v in values if v.strip().isdigit() and int(v) > 0), _cpus())
+
+
+def _workers() -> int:
+    """Workers a pass over X, or the parse of a large matrix file
+    (``io.load_csv``), is split across: the CPUs over the BLAS threads, at
+    least one.  On 2 CPUs with OpenBLAS on both, two workers made selection
+    slower: 85 against 79 ms, the medians of six alternating runs (srs,
+    n=400 on 100 x 50,000)."""
+    return max(1, _cpus() // _blas_threads())
 
 
 def _forget_pool():

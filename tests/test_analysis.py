@@ -500,3 +500,9 @@ def test_estimators_reject_more_draws_than_an_array_holds(estimate):
     with pytest.raises(ValueError, match=r"^n=10{20} is more draws than an"):
         estimate(D, labels, 10**20, rng)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+def test_bound_params_c_must_be_finite_and_positive(c):
+    with pytest.raises(BadParamsError, match=r"^c=.* must be finite and > 0$"):
+        BoundParams(m=5, delta=0.05, n2=1000, min_population=10, c=c)

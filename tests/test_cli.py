@@ -809,3 +809,36 @@ def test_exp_probability_draws_beyond_an_array_exits_one(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"ValueError: n={HUGE_N} is more draws than an array can hold\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("base", [_LEMMA2, _LEMMA3, _LEMMA4, _EMPIRICAL],
+                         ids=["lemma2", "lemma3", "lemma4", "empirical"])
+def test_exp_bounds_c_checked_for_every_lemma(tmp_path, capsys, base, c):
+    # lemma2 and lemma3 do not read c, and printed a bound for --c nan
+    out = tmp_path / "b.csv"
+    capsys.readouterr()
+    assert run("exp", "bounds", *base, "--c", c, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"BadParamsError: c={float(c)} must be finite and > 0\n"
+    assert not out.exists()
+
+
+def test_memory_error_exits_one_without_output(tmp_path, capsys, monkeypatch):
+    from srskit import cli
+
+    class ArrayMemoryError(MemoryError):
+        """Like numpy's, a MemoryError under another name."""
+
+    def no_memory(*args, **kwargs):
+        raise ArrayMemoryError("Unable to allocate 149. GiB for an array")
+
+    mat, _ = gen_arcs(tmp_path, n1=20, n2=5)
+    out = tmp_path / "idx.csv"
+    monkeypatch.setattr(cli, "sample_columns", no_memory)
+    capsys.readouterr()
+    rc = run("sketch", "--matrix", mat, "--method", "srs_repl", "--n", 10**10,
+             "--seed", 1, "--out-indices", out)
+    assert rc == 1
+    assert capsys.readouterr().err == "MemoryError: Unable to allocate 149. GiB for an array\n"
+    assert not out.exists()

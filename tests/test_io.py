@@ -1,3 +1,7 @@
+import contextlib
+import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -6,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from srskit import io
+from srskit import io, samplers
 from srskit import (
     ClusterLabels,
     ParseError,
@@ -278,3 +282,194 @@ def test_load_labels_needs_a_cluster_before_reading(tmp_path, n_clusters):
     # the file does not exist: the count is checked before it is opened
     with pytest.raises(ShapeError, match=r"^n_clusters must be >= 1$"):
         load_labels(tmp_path / "missing.csv", n_clusters=n_clusters)
+
+
+# ---------------------------------------------------------------------------
+# load_csv's split: line spans parsed in forked children
+
+
+@contextlib.contextmanager
+def forced_split(workers):
+    """Make load_csv split a file of any size into ``workers`` spans;
+    yields the list of the forks it makes.  Threads of an earlier
+    ``_map_spans`` split are ended first, since the split needs a process
+    with one thread."""
+    if samplers._pool is not None:
+        samplers._pool.shutdown()
+        samplers._forget_pool()
+    assert threading.active_count() == 1
+    forks, fork = [], os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_SPLIT_BYTES", 0)
+        mp.setattr(samplers, "_workers", lambda: workers)
+        mp.setattr(samplers, "_blas_threads", lambda: 1)
+        mp.setattr(os, "fork", counted)
+        yield forks
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def load_or_error(path):
+    """load_csv's array, or its error as (type, message, line)."""
+    try:
+        return load_csv(path)
+    except (ParseError, ShapeError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@settings(deadline=None, max_examples=60)
+@given(case=decorated_csv())
+def test_split_load_matches_line_loop(tmp_path_factory, workers, case):
+    D, text = case
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    path.write_bytes(text.encode())
+    oracle = io._parse_rows(io._data_lines(path))
+    with forced_split(workers) as forks:
+        edges = io._line_spans(path)
+        got = load_csv(path)
+    # one child per span after the first
+    assert len(forks) == (len(edges) - 2 if edges else 0)
+    assert got.shape == oracle.shape == D.shape
+    assert got.tobytes() == oracle.tobytes() == D.tobytes()
+    assert no_child_left()
+
+
+def test_split_load_runs_on_any_newline(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes("# é\r\n1.5,2.0\r0.25,-3.0\n\n4.0,5.0\r\n# c\n6.0,7.0\n".encode())
+    with forced_split(3) as forks:
+        got = load_csv(path)
+    assert len(forks) == 2
+    assert got.tobytes() == io._load_serial(path).tobytes()
+    assert got.tolist() == [[1.5, 2.0], [0.25, -3.0], [4.0, 5.0], [6.0, 7.0]]
+
+
+@pytest.mark.parametrize("bad", [b"1.0", b"1.0,zap", b"1.0,\xff", b"nan,1.0"],
+                         ids=["ragged", "bad-field", "not-utf8", "nan"])
+@pytest.mark.parametrize("where", [1, 6], ids=["parent-span", "child-span"])
+def test_split_load_errors_name_the_serial_line(tmp_path, bad, where):
+    lines = [b"# echo"] + [b"%d.5,2.0" % i for i in range(6)]
+    lines.insert(where + 1, bad)
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    want = load_or_error(path)
+    assert isinstance(want, tuple) and want[2] in (None, where + 2)
+    with forced_split(2) as forks:
+        edges = io._line_spans(path)
+        got = load_or_error(path)
+    assert len(forks) == 1
+    # the bad line lies in the span named
+    bad_at = path.read_bytes().index(bad + b"\n")
+    assert (bad_at < edges[1]) == (where == 1)
+    assert got == want
+    assert no_child_left()
+
+
+def test_split_load_falls_back_when_a_child_fails(tmp_path, monkeypatch):
+    D = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    parent, span_rows, waitpid, statuses = os.getpid(), io._span_rows, os.waitpid, []
+
+    def raising(path, span):
+        if os.getpid() != parent:
+            raise RuntimeError("the child's parse failed")
+        return span_rows(path, span)
+
+    def recorded(pid, options):
+        got = waitpid(pid, options)
+        statuses.append(got[1])
+        return got
+
+    monkeypatch.setattr(io, "_span_rows", raising)
+    monkeypatch.setattr(os, "waitpid", recorded)
+    with forced_split(2) as forks:
+        got = load_csv(path)
+    assert len(forks) == 1
+    # the child left through os._exit(1) in its finally, not by raising
+    assert [os.waitstatus_to_exitcode(s) for s in statuses] == [1]
+    assert got.tobytes() == D.tobytes()
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("head, tail", [
+    # widths of their own; one field would broadcast over a row
+    ("1.5,2.0\n", "1234567\n"),
+    ("1.5,2.0\n3.5,4.0\n5.5,6.0\n", "1.0,2.0,3.0\n4.0,5.0,6.0\n"),
+    # no data line
+    ("1.5,2.0\n3.5,4.0\n5.5,6.0\n", "# one\n\n# two\n   \n# thre\n"),
+], ids=["one-field", "wider", "comments-only"])
+def test_split_load_falls_back_on_spans_that_disagree(tmp_path, head, tail):
+    path = tmp_path / "m.csv"
+    path.write_text(head + tail)
+    want = load_or_error(path)
+    with forced_split(2) as forks:
+        edges = io._line_spans(path)
+        got = load_or_error(path)
+    assert len(forks) == 1
+    # the child's span is the tail, as long as the head
+    assert edges == [0, len(head), len(head + tail)]
+    if isinstance(want, tuple):
+        assert want[0] is ShapeError
+        assert got == want
+    else:
+        assert got.tobytes() == want.tobytes()
+    assert no_child_left()
+
+
+def test_split_load_kills_its_children_when_interrupted(tmp_path, monkeypatch):
+    path = tmp_path / "m.csv"
+    save_csv(np.arange(12.0).reshape(6, 2), path)
+    parent, span_rows = os.getpid(), io._span_rows
+
+    def interrupted(path, span):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return span_rows(path, span)
+
+    monkeypatch.setattr(io, "_span_rows", interrupted)
+    started = time.monotonic()
+    with forced_split(2) as forks, pytest.raises(KeyboardInterrupt):
+        load_csv(path)
+    assert len(forks) == 1
+    assert time.monotonic() - started < 30
+    assert no_child_left()
+
+
+def test_split_load_needs_a_process_with_one_thread(tmp_path):
+    D = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    with forced_split(2) as forks:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samplers, "_blas_threads", lambda: 2)
+            got = load_csv(path)
+        assert forks == []
+        # a split selection pass leaves its pool's threads running
+        spans = samplers._map_spans(lambda a, b: (a, b), np.zeros((8, 80_000)), 1000)
+        assert len(spans) == 2 and threading.active_count() > 1
+        assert load_csv(path).tobytes() == got.tobytes() == D.tobytes()
+    assert forks == []
+
+
+def test_split_load_memory_is_the_result(tmp_path):
+    # the bound of test_load_csv_memory_is_the_result, with the split forced
+    D = np.random.default_rng(0).standard_normal((100, 20_000))
+    path = tmp_path / "m.csv"
+    save_csv(D, path, comment="cfg")
+    with forced_split(2) as forks:
+        back, peak = traced_peak(load_csv, path)
+    assert len(forks) == 1
+    assert back.tobytes() == D.tobytes()
+    assert peak < 1.5 * D.nbytes + (2 << 20)
