@@ -11,9 +11,9 @@ Reading and writing stream line by line: beyond the matrix itself, a
 load or save holds one line or row of text at a time in each process.
 A large matrix file is parsed in contiguous line spans, one per worker
 (``samplers._workers``): the first by the calling process, each other
-by a child made with ``os.fork`` that writes its rows to a shared
-anonymous mapping; the array is the serial parse's, bit for bit, and
-any irregularity falls back to the serial parse, which names the line.
+by a child made with ``os.fork`` that sends its rows down a pipe into
+the result; the array is the serial parse's, bit for bit, and any
+irregularity falls back to the serial parse, which names the line.
 Every text output, report CSVs included, goes through ``write_lines``:
 the comment echo as '#' lines, then the lines, to a path or an open
 stream.
@@ -23,11 +23,9 @@ from __future__ import annotations
 
 import io as _stdio
 import itertools
-import mmap
 import os
 import signal
 import struct
-import threading
 from contextlib import closing, suppress
 
 import numpy as np
@@ -163,34 +161,44 @@ def _load_serial(path) -> np.ndarray:
     return D
 
 
-# The size from which load_csv parses a matrix file in line spans.  On 2
-# CPUs (1 BLAS thread, alternating pairs of serial and split loads of
-# 100-row files) the split lost at 0.2-0.3 MB: a fork, the child's start
-# and its exit cost about 3 ms.  From 0.5 to 1 MB it won 7 to 54 of 60
-# pairs, varying from run to run; from 1.1 MB it won most runs by 48 to 58
-# of 60, at 0.7 to 0.9 of the serial time, and 11 MB at 0.6 to 0.75.
-_SPLIT_BYTES = 1 << 20
+# The least bytes in a span when load_csv parses a matrix file in line
+# spans: a file is cut into at most one span per _SPAN_BYTES, so it is
+# split from 2 x _SPAN_BYTES on.  Measured with two spans only, on 2 CPUs
+# (1 BLAS thread, alternating pairs of serial and split loads of 100-row
+# files): spans of 0.1-0.15 MB lost, as a fork, the child's start and its
+# exit cost about 3 ms; spans of 0.25-0.5 MB won 7 to 54 of 60 pairs,
+# varying from run to run; from 0.55 MB they won most runs by 48 to 58 of
+# 60, at 0.7 to 0.9 of the serial time, and 5.5 MB spans at 0.6 to 0.75.
+_SPAN_BYTES = 1 << 19
+
+
+def _threads() -> int:
+    """The threads this process runs as the OS counts them, native ones
+    (a BLAS pool, say) included; 0 where the OS does not tell."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
 
 
 def _line_spans(path) -> list | None:
     """Offsets 0 = e0 < e1 < ... < ek, the file's size, of k >= 2 spans of
-    whole lines, one per worker (``samplers._workers``), each but the first
-    starting at the first line start from i/k of the file on; None when
-    the file is to be parsed in one piece.
+    whole lines, one per worker (``samplers._workers``) and at most one
+    per ``_SPAN_BYTES``, each but the first starting at the first line
+    start from i/k of the file on; None when the file is to be parsed in
+    one piece.
 
-    A file is split only when it has ``_SPLIT_BYTES`` or more, there are
-    two workers or more, ``os.fork`` exists and this process runs one
-    thread and one BLAS thread: a child forked from a process with other
-    threads can deadlock on a lock one of them held.
+    A file is split only when ``os.fork`` exists and this process runs one
+    thread, as the OS counts them, and one BLAS thread: a child forked
+    from a process with other threads can deadlock on a lock one of them
+    held.
     """
     k = samplers._workers()
-    if (k < 2 or not hasattr(os, "fork") or threading.active_count() > 1
-            or samplers._blas_threads() > 1):
+    if k < 2 or not hasattr(os, "fork") or _threads() != 1 or samplers._blas_threads() > 1:
         return None
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        if size < _SPLIT_BYTES:
-            return None
+        k = min(k, size // _SPAN_BYTES)
         edges = [0]
         for i in range(1, k):
             # a line start is 0 or just after a LF, alone or in a CRLF
@@ -206,59 +214,73 @@ def _line_spans(path) -> list | None:
 
 def _load_spans(path, edges: list) -> np.ndarray | None:
     """The rows of each line span [a, b) of ``edges`` in order: the first
-    parsed here, each other in a forked child that writes them to a shared
-    anonymous mapping.  None, once every child is reaped, on any
-    irregularity: a bad line, a span with no data, widths that differ, a
-    non-finite value, or a failed fork, mapping or child."""
-    maps, pids = [], []
+    parsed here, each other in a forked child that sends its shape, then
+    its rows, down a pipe, read straight into the result.  Beyond the
+    result, each process holds at most the rows of its own span.  None,
+    once every child is reaped, on any irregularity: a bad line, a span
+    with no data, widths that differ, a non-finite value, or a failed
+    fork, pipe or child."""
+    pipes, pids = [], []
     try:
         for span in zip(edges[1:-1], edges[2:]):
-            # a span of B bytes holds at most (B + 1) // 2 fields
-            maps.append(mmap.mmap(-1, 16 + 4 * (span[1] - span[0] + 1)))
-            pid = os.fork()
-            if pid == 0:
-                _span_child(maps[-1], path, span)
-            pids.append(pid)
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _span_child(w, path, span)
+                pids.append(pid)
+            finally:
+                os.close(w)
         first = _span_rows(path, (0, edges[1]))
-        while pids:
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
-            if status:
+        shapes = [first.shape]
+        for pipe in pipes:
+            head = pipe.read(16)
+            if len(head) < 16:
                 return None
-        shapes = [first.shape] + [struct.unpack_from("qq", mm) for mm in maps]
+            shapes.append(struct.unpack("qq", head))
         if len({cols for _, cols in shapes}) > 1:
             return None
         D = np.empty((sum(rows for rows, _ in shapes), shapes[0][1]))
         at = len(first)
         D[:at] = first
         del first
-        for mm, (rows, cols) in zip(maps, shapes[1:]):
-            D[at : at + rows] = np.frombuffer(mm, np.float64, rows * cols, 16).reshape(rows, cols)
+        for pipe, (rows, _) in zip(pipes, shapes[1:]):
+            view = memoryview(D[at : at + rows]).cast("B")
+            if pipe.readinto(view) < len(view):
+                return None
             at += rows
+        while pids:
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status:
+                return None
         return D
     except (ParseError, ValueError, OSError):
         return None
     finally:
-        # children are left only when this process raised or a child
-        # failed; one may be gone already if SIGCHLD is ignored
+        # children are left only when this process raised, a child failed
+        # or the spans disagree; one may be gone already if SIGCHLD is
+        # ignored
         for pid in pids:
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for mm in maps:
-            mm.close()
+        for pipe in pipes:
+            pipe.close()
 
 
-def _span_child(mm: mmap.mmap, path, span) -> None:
+def _span_child(fd: int, path, span) -> None:
     """In a forked child: write the shape, then the rows, of a line span
-    to ``mm``, and exit 0; exit 1 on any failure.  Never returns, so the
-    child runs none of its caller's code, flushes no inherited buffer
-    and runs no exit handler."""
+    to the pipe ``fd``, and exit 0; exit 1 on any failure.  Never returns,
+    so the child runs none of its caller's code, flushes no inherited
+    buffer and runs no exit handler."""
     status = 1
     try:
         D = _span_rows(path, span)
-        struct.pack_into("qq", mm, 0, *D.shape)
-        np.frombuffer(mm, np.float64, D.size, 16)[:] = D.ravel()
+        with open(fd, "wb") as out:
+            out.write(struct.pack("qq", *D.shape))
+            out.write(memoryview(D).cast("B"))
         status = 0
     finally:
         os._exit(status)

@@ -3,6 +3,7 @@ import os
 import threading
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -291,25 +292,40 @@ def test_load_labels_needs_a_cluster_before_reading(tmp_path, n_clusters):
 @contextlib.contextmanager
 def forced_split(workers):
     """Make load_csv split a file of any size into ``workers`` spans;
-    yields the list of the forks it makes.  Threads of an earlier
-    ``_map_spans`` split are ended first, since the split needs a process
-    with one thread."""
+    yields a record of the forks it makes (``forks``) and of whether each
+    split gave the array (``splits``, False where it fell back).  Threads
+    of an earlier ``_map_spans`` split are ended first, since the split
+    needs a process with one thread; a process running native threads (a
+    BLAS pool, say) would not fork, so there the test is skipped."""
     if samplers._pool is not None:
         samplers._pool.shutdown()
         samplers._forget_pool()
+        # a joined thread may stay in the OS's count for a moment
+        deadline = time.monotonic() + 5
+        while io._threads() > 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
+    if io._threads() != 1:
+        pytest.skip("the process runs native threads (set OPENBLAS_NUM_THREADS=1)")
     assert threading.active_count() == 1
-    forks, fork = [], os.fork
+    run = types.SimpleNamespace(forks=[], splits=[])
+    fork, load_spans = os.fork, io._load_spans
 
     def counted():
-        forks.append(1)
+        run.forks.append(1)
         return fork()
 
+    def recorded(path, edges):
+        D = load_spans(path, edges)
+        run.splits.append(D is not None)
+        return D
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(io, "_SPLIT_BYTES", 0)
+        mp.setattr(io, "_SPAN_BYTES", 1)
         mp.setattr(samplers, "_workers", lambda: workers)
         mp.setattr(samplers, "_blas_threads", lambda: 1)
         mp.setattr(os, "fork", counted)
-        yield forks
+        mp.setattr(io, "_load_spans", recorded)
+        yield run
 
 
 def no_child_left():
@@ -334,11 +350,11 @@ def test_split_load_matches_line_loop(tmp_path_factory, workers, case):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes(text.encode())
     oracle = io._parse_rows(io._data_lines(path))
-    with forced_split(workers) as forks:
+    with forced_split(workers) as run:
         edges = io._line_spans(path)
         got = load_csv(path)
     # one child per span after the first
-    assert len(forks) == (len(edges) - 2 if edges else 0)
+    assert len(run.forks) == (len(edges) - 2 if edges else 0)
     assert got.shape == oracle.shape == D.shape
     assert got.tobytes() == oracle.tobytes() == D.tobytes()
     assert no_child_left()
@@ -347,9 +363,9 @@ def test_split_load_matches_line_loop(tmp_path_factory, workers, case):
 def test_split_load_runs_on_any_newline(tmp_path):
     path = tmp_path / "m.csv"
     path.write_bytes("# é\r\n1.5,2.0\r0.25,-3.0\n\n4.0,5.0\r\n# c\n6.0,7.0\n".encode())
-    with forced_split(3) as forks:
+    with forced_split(3) as run:
         got = load_csv(path)
-    assert len(forks) == 2
+    assert len(run.forks) == 2 and run.splits == [True]
     assert got.tobytes() == io._load_serial(path).tobytes()
     assert got.tolist() == [[1.5, 2.0], [0.25, -3.0], [4.0, 5.0], [6.0, 7.0]]
 
@@ -364,10 +380,10 @@ def test_split_load_errors_name_the_serial_line(tmp_path, bad, where):
     path.write_bytes(b"\n".join(lines) + b"\n")
     want = load_or_error(path)
     assert isinstance(want, tuple) and want[2] in (None, where + 2)
-    with forced_split(2) as forks:
+    with forced_split(2) as run:
         edges = io._line_spans(path)
         got = load_or_error(path)
-    assert len(forks) == 1
+    assert len(run.forks) == 1 and run.splits == [False]
     # the bad line lies in the span named
     bad_at = path.read_bytes().index(bad + b"\n")
     assert (bad_at < edges[1]) == (where == 1)
@@ -393,9 +409,9 @@ def test_split_load_falls_back_when_a_child_fails(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "_span_rows", raising)
     monkeypatch.setattr(os, "waitpid", recorded)
-    with forced_split(2) as forks:
+    with forced_split(2) as run:
         got = load_csv(path)
-    assert len(forks) == 1
+    assert len(run.forks) == 1 and run.splits == [False]
     # the child left through os._exit(1) in its finally, not by raising
     assert [os.waitstatus_to_exitcode(s) for s in statuses] == [1]
     assert got.tobytes() == D.tobytes()
@@ -413,10 +429,10 @@ def test_split_load_falls_back_on_spans_that_disagree(tmp_path, head, tail):
     path = tmp_path / "m.csv"
     path.write_text(head + tail)
     want = load_or_error(path)
-    with forced_split(2) as forks:
+    with forced_split(2) as run:
         edges = io._line_spans(path)
         got = load_or_error(path)
-    assert len(forks) == 1
+    assert len(run.forks) == 1 and run.splits == [False]
     # the child's span is the tail, as long as the head
     assert edges == [0, len(head), len(head + tail)]
     if isinstance(want, tuple):
@@ -440,9 +456,9 @@ def test_split_load_kills_its_children_when_interrupted(tmp_path, monkeypatch):
 
     monkeypatch.setattr(io, "_span_rows", interrupted)
     started = time.monotonic()
-    with forced_split(2) as forks, pytest.raises(KeyboardInterrupt):
+    with forced_split(2) as run, pytest.raises(KeyboardInterrupt):
         load_csv(path)
-    assert len(forks) == 1
+    assert len(run.forks) == 1
     assert time.monotonic() - started < 30
     assert no_child_left()
 
@@ -451,16 +467,36 @@ def test_split_load_needs_a_process_with_one_thread(tmp_path):
     D = np.arange(12.0).reshape(6, 2)
     path = tmp_path / "m.csv"
     save_csv(D, path)
-    with forced_split(2) as forks:
+    with forced_split(2) as run:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(samplers, "_blas_threads", lambda: 2)
             got = load_csv(path)
-        assert forks == []
+        # a native thread, one Python does not know of
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_threads", lambda: 2)
+            assert load_csv(path).tobytes() == got.tobytes()
+        assert run.forks == []
         # a split selection pass leaves its pool's threads running
         spans = samplers._map_spans(lambda a, b: (a, b), np.zeros((8, 80_000)), 1000)
         assert len(spans) == 2 and threading.active_count() > 1
         assert load_csv(path).tobytes() == got.tobytes() == D.tobytes()
-    assert forks == []
+    assert run.forks == [] and run.splits == []
+
+
+def test_split_load_cuts_spans_of_span_bytes_or_more(tmp_path):
+    D = np.arange(80.0).reshape(40, 2)
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    size = path.stat().st_size
+    with forced_split(8) as run, pytest.MonkeyPatch.context() as mp:
+        # at most one span per _SPAN_BYTES, however many workers
+        for span_bytes, spans in [(size // 3, 3), (size // 2, 2), (size // 2 + 1, 0)]:
+            mp.setattr(io, "_SPAN_BYTES", span_bytes)
+            edges = io._line_spans(path)
+            assert (len(edges) - 1 if edges else 0) == spans
+            assert load_csv(path).tobytes() == D.tobytes()
+    assert len(run.forks) == 3 and run.splits == [True, True]
+    assert no_child_left()
 
 
 def test_split_load_memory_is_the_result(tmp_path):
@@ -468,8 +504,8 @@ def test_split_load_memory_is_the_result(tmp_path):
     D = np.random.default_rng(0).standard_normal((100, 20_000))
     path = tmp_path / "m.csv"
     save_csv(D, path, comment="cfg")
-    with forced_split(2) as forks:
+    with forced_split(2) as run:
         back, peak = traced_peak(load_csv, path)
-    assert len(forks) == 1
+    assert len(run.forks) == 1 and run.splits == [True]
     assert back.tobytes() == D.tobytes()
     assert peak < 1.5 * D.nbytes + (2 << 20)
