@@ -7,13 +7,13 @@ integer per line.  Lines starting with ``#`` are comments and skipped
 by every loader.
 
 Files are UTF-8 text; a line that is not is a ParseError naming it.
-Reading and writing stream line by line: beyond the matrix itself, a
-load or save holds one line or row of text at a time in each process.
-A large matrix file is parsed in contiguous line spans, one per worker
+Reading and writing stream line by line.  A large matrix file is parsed
+in line spans, and a large matrix formatted in row spans, one per worker
 (``samplers._workers``): the first by the calling process, each other
-by a child made with ``os.fork`` that sends its rows down a pipe into
-the result; the array is the serial parse's, bit for bit, and any
-irregularity falls back to the serial parse, which names the line.
+by a forked child (``_Forks``) that sends its rows, or its lines, down a
+pipe.  The array and the bytes are the serial ones.  Beyond the matrix,
+a child holds its own span's rows or text, and the calling process one
+line or row of text at a time.
 Every text output, report CSVs included, goes through ``write_lines``:
 the comment echo as '#' lines, then the lines, to a path or an open
 stream.
@@ -26,7 +26,8 @@ import itertools
 import os
 import signal
 import struct
-from contextlib import closing, suppress
+from contextlib import AbstractContextManager, closing, suppress
+from functools import partial
 
 import numpy as np
 
@@ -107,10 +108,40 @@ def _data_lines(path, span=None):
 
 
 def save_csv(D: np.ndarray, path, comment: str | None = None) -> None:
-    """Write a matrix in the no-header CSV format."""
+    """Write a matrix in the no-header CSV format.
+
+    A large matrix is formatted in row spans (``_split``) of 2 rows and
+    about ``_SPAN_VALUES`` values or more, the first here and each other
+    in a forked child (``_csv_lines``); the bytes are the serial ones.
+    """
     D = as_matrix(D)
-    lines = (",".join(map(repr, row.tolist())) for row in D)
-    write_lines(path, lines, comment)
+    k = _split(min(len(D) // 2, D.size // _SPAN_VALUES))
+    edges = [len(D) * i // k for i in range(k + 1)]
+    with _Forks(list(zip(edges[1:-1], edges[2:])), partial(_send_lines, D)) as kids:
+        parts = itertools.zip_longest(zip(edges, edges[1:]), [None, *kids.pipes])
+        lines = (line for (a, b), pipe in parts for line in _csv_lines(D[a:b], pipe))
+        write_lines(path, lines, comment)
+        kids.reaped()  # each child has sent its lines or failed
+
+
+def _csv_lines(D, pipe=None):
+    """Yield the CSV line of each row of ``D``, its LF left out: the line a
+    child sends down ``pipe`` (``_send_lines``), read one at a time, or,
+    from the first row it did not send whole on, the line formatted here."""
+    for row in D:
+        line = b"" if pipe is None else pipe.readline()
+        if line.endswith(b"\n"):
+            yield line[:-1].decode("ascii")
+        else:
+            yield ",".join(map(repr, row.tolist()))
+
+
+def _send_lines(D, out, span) -> None:
+    """In a forked child: send the CSV lines of the rows [a, b) = ``span``
+    of ``D`` to ``out``, each ending in LF, once all are formatted, so the
+    formatting never waits for the parent to read."""
+    lines = [line + "\n" for line in _csv_lines(D[span[0] : span[1]])]
+    out.writelines(line.encode("ascii") for line in lines)
 
 
 def load_csv(path) -> np.ndarray:
@@ -172,6 +203,14 @@ def _load_serial(path) -> np.ndarray:
 _SPAN_BYTES = 1 << 19
 
 
+# The least values in a span when save_csv formats a matrix in row spans.
+# Measured on 2 CPUs (1 BLAS thread, two spans against one, alternating):
+# matrices of 10,000 values or fewer lost 13 of 15 pairs or more; 15,000
+# to 25,000 won 8 of 15 to 20 of 20; from 32,800 on the split won 12 of 15
+# to 20 of 20, at 0.55 to 0.86 of the serial time.
+_SPAN_VALUES = 1 << 14
+
+
 def _threads() -> int:
     """The threads this process runs as the OS counts them, native ones
     (a BLAS pool, say) included; 0 where the OS does not tell."""
@@ -181,24 +220,30 @@ def _threads() -> int:
         return 0
 
 
+def _split(parts: int) -> int:
+    """The spans to load or save in: ``parts`` or the workers
+    (``samplers._workers``), the fewer, if the process may fork, else 1.
+    It may when ``os.fork`` exists, OpenBLAS runs one thread and, with the
+    ``samplers._map_spans`` pool ended, the OS counts one thread: a child
+    forked from a threaded process can deadlock on a lock another held."""
+    k = min(samplers._workers(), parts)
+    if k < 2 or not hasattr(os, "fork") or samplers._blas_threads() > 1:
+        return 1
+    samplers._end_pool()
+    return k if _threads() == 1 else 1
+
+
 def _line_spans(path) -> list | None:
     """Offsets 0 = e0 < e1 < ... < ek, the file's size, of k >= 2 spans of
     whole lines, one per worker (``samplers._workers``) and at most one
     per ``_SPAN_BYTES``, each but the first starting at the first line
     start from i/k of the file on; None when the file is to be parsed in
-    one piece.
-
-    A file is split only when ``os.fork`` exists and this process runs one
-    thread, as the OS counts them, and one BLAS thread: a child forked
-    from a process with other threads can deadlock on a lock one of them
-    held.
-    """
-    k = samplers._workers()
-    if k < 2 or not hasattr(os, "fork") or _threads() != 1 or samplers._blas_threads() > 1:
-        return None
+    one piece (see ``_split``)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        k = min(k, size // _SPAN_BYTES)
+        k = _split(size // _SPAN_BYTES)
+        if k < 2:
+            return None
         edges = [0]
         for i in range(1, k):
             # a line start is 0 or just after a LF, alone or in a CRLF
@@ -215,75 +260,98 @@ def _line_spans(path) -> list | None:
 def _load_spans(path, edges: list) -> np.ndarray | None:
     """The rows of each line span [a, b) of ``edges`` in order: the first
     parsed here, each other in a forked child that sends its shape, then
-    its rows, down a pipe, read straight into the result.  Beyond the
-    result, each process holds at most the rows of its own span.  None,
-    once every child is reaped, on any irregularity: a bad line, a span
-    with no data, widths that differ, a non-finite value, or a failed
-    fork, pipe or child."""
-    pipes, pids = [], []
+    its rows, down a pipe (``_send_rows``), read straight into the result.
+    Beyond the result, each process holds at most the rows of its own
+    span.  None, once every child is reaped, on any irregularity: a bad
+    line, a span with no data, widths that differ, a non-finite value, or
+    a failed fork, pipe or child."""
+    spans = list(zip(edges[1:-1], edges[2:]))
     try:
-        for span in zip(edges[1:-1], edges[2:]):
-            r, w = os.pipe()
-            pipes.append(open(r, "rb"))
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    _span_child(w, path, span)
-                pids.append(pid)
-            finally:
-                os.close(w)
-        first = _span_rows(path, (0, edges[1]))
-        shapes = [first.shape]
-        for pipe in pipes:
-            head = pipe.read(16)
-            if len(head) < 16:
+        with _Forks(spans, partial(_send_rows, path)) as kids:
+            if len(kids.pipes) < len(spans):
                 return None
-            shapes.append(struct.unpack("qq", head))
-        if len({cols for _, cols in shapes}) > 1:
-            return None
-        D = np.empty((sum(rows for rows, _ in shapes), shapes[0][1]))
-        at = len(first)
-        D[:at] = first
-        del first
-        for pipe, (rows, _) in zip(pipes, shapes[1:]):
-            view = memoryview(D[at : at + rows]).cast("B")
-            if pipe.readinto(view) < len(view):
+            first = _span_rows(path, (0, edges[1]))
+            shapes = [first.shape]
+            for pipe in kids.pipes:
+                head = pipe.read(16)
+                if len(head) < 16:
+                    return None
+                shapes.append(struct.unpack("qq", head))
+            if len({cols for _, cols in shapes}) > 1:
                 return None
-            at += rows
-        while pids:
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
-            if status:
-                return None
-        return D
+            D = np.empty((sum(rows for rows, _ in shapes), shapes[0][1]))
+            at = len(first)
+            D[:at] = first
+            del first
+            for pipe, (rows, _) in zip(kids.pipes, shapes[1:]):
+                view = memoryview(D[at : at + rows]).cast("B")
+                if pipe.readinto(view) < len(view):
+                    return None
+                at += rows
+            return D if kids.reaped() else None
     except (ParseError, ValueError, OSError):
         return None
-    finally:
-        # children are left only when this process raised, a child failed
-        # or the spans disagree; one may be gone already if SIGCHLD is
-        # ignored
-        for pid in pids:
+
+
+class _Forks(AbstractContextManager):
+    """A child forked per span runs ``child(out, span)``, ``out`` writing
+    to a pipe of its own, and leaves through ``os._exit``, 0 once ``child``
+    returns, so it runs none of its caller's code and flushes no inherited
+    buffer.  ``pipes`` holds the read ends in span order, fewer if a pipe
+    or fork fails.  Leaving the ``with`` block kills and reaps every child
+    not yet reaped and closes the pipes."""
+
+    def __init__(self, spans, child):
+        self.pipes, self.pids = [], []
+        for span in spans:
+            fds = ()
+            try:
+                fds = os.pipe()
+                pid = os.fork()
+            except OSError:
+                for fd in fds:
+                    os.close(fd)
+                break
+            if pid == 0:
+                status = 1
+                try:
+                    # left open on a failure until the exit, so a parent
+                    # that sees the pipe end reaps the exit status
+                    out = open(fds[1], "wb")
+                    child(out, span)
+                    out.close()
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(fds[1])
+            self.pids.append(pid)
+            self.pipes.append(open(fds[0], "rb"))
+
+    def reaped(self) -> bool:
+        """Wait for every child, each done sending; whether all exited 0."""
+        ok = True
+        while self.pids:
+            ok &= os.waitpid(self.pids[0], 0)[1] == 0
+            del self.pids[0]
+        return ok
+
+    def __exit__(self, *exc):
+        # children are left only when this process raised or a load gave
+        # up; one may be gone already if SIGCHLD is ignored
+        for pid in self.pids:
             with suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-        for pipe in pipes:
+        for pipe in self.pipes:
             pipe.close()
 
 
-def _span_child(fd: int, path, span) -> None:
-    """In a forked child: write the shape, then the rows, of a line span
-    to the pipe ``fd``, and exit 0; exit 1 on any failure.  Never returns,
-    so the child runs none of its caller's code, flushes no inherited
-    buffer and runs no exit handler."""
-    status = 1
-    try:
-        D = _span_rows(path, span)
-        with open(fd, "wb") as out:
-            out.write(struct.pack("qq", *D.shape))
-            out.write(memoryview(D).cast("B"))
-        status = 0
-    finally:
-        os._exit(status)
+def _send_rows(path, out, span) -> None:
+    """In a forked child: send the shape, then the rows, of a line span to
+    ``out``."""
+    D = _span_rows(path, span)
+    out.write(struct.pack("qq", *D.shape))
+    out.write(memoryview(D).cast("B"))
 
 
 def _span_rows(path, span) -> np.ndarray:

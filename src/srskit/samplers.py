@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -87,8 +88,9 @@ _MAX_TILE_ROWS = 512
 # N1 = 2 and 20,000 columns a float32 screen left every row with
 # near-tied candidates to settle, and took twice the float64 time
 _FLOAT32_MIN_N1 = 4
-# the threads of _map_spans, made on its first split
+# the threads of _map_spans, made on its first split, and their names' prefix
 _pool = None
+_POOL_NAME = "srskit-span"
 
 
 def _cpus() -> int:
@@ -107,17 +109,32 @@ def _blas_threads() -> int:
 
 
 def _workers() -> int:
-    """Workers a pass over X, or the parse of a large matrix file
-    (``io.load_csv``), is split across: the CPUs over the BLAS threads, at
-    least one.  On 2 CPUs with OpenBLAS on both, two workers made selection
-    slower: 85 against 79 ms, the medians of six alternating runs (srs,
-    n=400 on 100 x 50,000)."""
+    """Workers a pass over X, the parse of a large matrix file
+    (``io.load_csv``) or the formatting of a large matrix (``io.save_csv``)
+    is split across: the CPUs over the BLAS threads, at least one.  On 2
+    CPUs with OpenBLAS on both, two workers made selection slower: 85
+    against 79 ms, the medians of six alternating runs (srs, n=400 on
+    100 x 50,000)."""
     return max(1, _cpus() // _blas_threads())
 
 
 def _forget_pool():
     global _pool
     _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    # a child forked later has none of the pool's threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _end_pool() -> None:
+    """End the ``_map_spans`` pool's threads, so the process can fork,
+    unless a thread outside it runs, which may be in a split."""
+    others = set(threading.enumerate()) - {threading.current_thread()}
+    if _pool is not None and all(t.name.startswith(_POOL_NAME) for t in others):
+        _pool.shutdown()
+        _forget_pool()
 
 
 def _map_spans(fn, X: np.ndarray, cols: int) -> list:
@@ -140,9 +157,7 @@ def _map_spans(fn, X: np.ndarray, cols: int) -> list:
     if _pool is None:
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor()
-        # a child forked later has none of the pool's threads
-        os.register_at_fork(after_in_child=_forget_pool)
+        _pool = ThreadPoolExecutor(thread_name_prefix=_POOL_NAME)
     edges = [min(n2, cols * (tiles * i // k)) for i in range(k + 1)]
     rest = [_pool.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
     return [fn(edges[0], edges[1])] + [f.result() for f in rest]

@@ -1,13 +1,16 @@
 import contextlib
 import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import types
+from io import BytesIO, StringIO
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -286,27 +289,30 @@ def test_load_labels_needs_a_cluster_before_reading(tmp_path, n_clusters):
 
 
 # ---------------------------------------------------------------------------
-# load_csv's split: line spans parsed in forked children
+# load_csv's and save_csv's splits: spans parsed or formatted in forked
+# children
 
 
 @contextlib.contextmanager
 def forced_split(workers):
-    """Make load_csv split a file of any size into ``workers`` spans;
-    yields a record of the forks it makes (``forks``) and of whether each
-    split gave the array (``splits``, False where it fell back).  Threads
-    of an earlier ``_map_spans`` split are ended first, since the split
-    needs a process with one thread; a process running native threads (a
-    BLAS pool, say) would not fork, so there the test is skipped."""
-    if samplers._pool is not None:
-        samplers._pool.shutdown()
-        samplers._forget_pool()
-        # a joined thread may stay in the OS's count for a moment
-        deadline = time.monotonic() + 5
-        while io._threads() > 1 and time.monotonic() < deadline:
+    """Make load_csv split a file of any size into ``workers`` spans, and
+    save_csv a matrix of any size into up to ``workers`` spans of 2 rows or
+    more; yields a record of the forks they make (``forks``) and of whether
+    each load split gave the array (``splits``, False where it fell back).
+    The program ends the threads of an earlier ``_map_spans`` split itself;
+    a process running native threads (a BLAS pool, say) would not fork, so
+    there the test is skipped."""
+    threads = io._threads
+
+    def settled(wait=5.0):
+        # a thread just joined may stay in the OS's count for a moment
+        deadline = time.monotonic() + wait
+        while (n := threads()) > threading.active_count() and time.monotonic() < deadline:
             time.sleep(0.001)
-    if io._threads() != 1:
+        return n
+
+    if settled(0.1) > threading.active_count():
         pytest.skip("the process runs native threads (set OPENBLAS_NUM_THREADS=1)")
-    assert threading.active_count() == 1
     run = types.SimpleNamespace(forks=[], splits=[])
     fork, load_spans = os.fork, io._load_spans
 
@@ -321,6 +327,8 @@ def forced_split(workers):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_SPAN_BYTES", 1)
+        mp.setattr(io, "_SPAN_VALUES", 1)
+        mp.setattr(io, "_threads", settled)
         mp.setattr(samplers, "_workers", lambda: workers)
         mp.setattr(samplers, "_blas_threads", lambda: 1)
         mp.setattr(os, "fork", counted)
@@ -475,11 +483,6 @@ def test_split_load_needs_a_process_with_one_thread(tmp_path):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(io, "_threads", lambda: 2)
             assert load_csv(path).tobytes() == got.tobytes()
-        assert run.forks == []
-        # a split selection pass leaves its pool's threads running
-        spans = samplers._map_spans(lambda a, b: (a, b), np.zeros((8, 80_000)), 1000)
-        assert len(spans) == 2 and threading.active_count() > 1
-        assert load_csv(path).tobytes() == got.tobytes() == D.tobytes()
     assert run.forks == [] and run.splits == []
 
 
@@ -509,3 +512,265 @@ def test_split_load_memory_is_the_result(tmp_path):
     assert len(run.forks) == 1 and run.splits == [True]
     assert back.tobytes() == D.tobytes()
     assert peak < 1.5 * D.nbytes + (2 << 20)
+
+
+def serial_csv(D, comment=None):
+    """save_csv's text formatted in one piece, through write_lines."""
+    out = StringIO()
+    io.write_lines(out, (",".join(map(repr, row)) for row in D.tolist()), comment)
+    return out.getvalue()
+
+
+def save_text(D, to_path, tmp_path, comment=None):
+    """save_csv's text, written to a path or to an open text stream."""
+    if not to_path:
+        out = StringIO()
+        save_csv(D, out, comment)
+        return out.getvalue()
+    path = tmp_path / "m.csv"
+    save_csv(D, path, comment)
+    return path.read_bytes().decode()
+
+
+edge_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -2.5e-320, 1e16, -1e16, 1e-5, 0.1]),
+)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@settings(deadline=None, max_examples=40)
+@given(D=st.integers(1, 8).flatmap(lambda rows: arrays(
+    np.float64, (rows, 3), elements=edge_floats)), to_path=st.booleans())
+@example(D=np.array([[-0.0, 5e-324, 1e16]]), to_path=True)
+@example(D=np.array([[1e-5], [-2.5e-320]]), to_path=False)
+@example(D=np.arange(12.0).reshape(6, 2) * 1e16, to_path=True)
+def test_split_save_matches_write_lines(tmp_path_factory, workers, D, to_path):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    with forced_split(workers) as run:
+        got = save_text(D, to_path, tmp_path, comment="echo\nsecond")
+    # one child per span after the first, and spans of 2 rows or more, so
+    # with k > rows / 2 fewer spans, and with 1 or 3 rows none
+    assert len(run.forks) == max(0, min(workers, len(D) // 2) - 1)
+    assert got == serial_csv(D, "echo\nsecond")
+    assert no_child_left()
+
+
+def exit_codes(monkeypatch):
+    """The exit codes of the children os.waitpid reaps, in order."""
+    waitpid, codes = os.waitpid, []
+
+    def recorded(pid, options):
+        got = waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(got[1]))
+        return got
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    return codes
+
+
+def test_split_save_formats_a_failed_childs_span(tmp_path, monkeypatch):
+    D = np.random.default_rng(0).standard_normal((9, 4))
+    parent, csv_lines = os.getpid(), io._csv_lines
+
+    def raising(D, pipe=None):
+        if os.getpid() != parent:
+            raise RuntimeError("the child's formatting failed")
+        return csv_lines(D, pipe)
+
+    monkeypatch.setattr(io, "_csv_lines", raising)
+    codes = exit_codes(monkeypatch)
+    with forced_split(3) as run:
+        got = save_text(D, True, tmp_path)
+    assert len(run.forks) == 2
+    # each child left through os._exit(1) in its finally, having sent nothing
+    assert codes == [1, 1]
+    assert got == serial_csv(D)
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("cut", [0, 5, 1, 2, 3, -1],
+                         ids=["nothing", "mid-line", "one-line", "one-line-and-a-byte",
+                              "all", "all-but-the-last-lf"])
+def test_split_save_completes_a_short_stream(tmp_path, monkeypatch, cut):
+    D = np.random.default_rng(1).standard_normal((6, 5))
+    send_lines = io._send_lines
+
+    def short(D, out, span):
+        whole = BytesIO()
+        send_lines(D, whole, span)
+        text = whole.getvalue()
+        # 1 to 3: through the LF of that line, the next byte, all lines
+        ends = [i + 1 for i, c in enumerate(text) if c == ord("\n")]
+        out.write(text[:{1: ends[0], 2: ends[0] + 1, 3: len(text)}.get(cut, cut)])
+
+    monkeypatch.setattr(io, "_send_lines", short)
+    codes = exit_codes(monkeypatch)
+    with forced_split(2) as run:
+        got = save_text(D, False, tmp_path)
+    # the child exited 0: the lines it sent whole are all that is used
+    assert len(run.forks) == 1 and codes == [0]
+    assert got == serial_csv(D)
+    assert no_child_left()
+
+
+def test_split_save_kills_its_children_when_interrupted(tmp_path, monkeypatch):
+    parent, csv_lines = os.getpid(), io._csv_lines
+
+    def interrupted(D, pipe=None):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+        return csv_lines(D, pipe)
+
+    monkeypatch.setattr(io, "_csv_lines", interrupted)
+    started = time.monotonic()
+    with forced_split(2) as run, pytest.raises(KeyboardInterrupt):
+        save_csv(np.arange(12.0).reshape(6, 2), tmp_path / "m.csv")
+    assert len(run.forks) == 1
+    assert time.monotonic() - started < 30
+    assert no_child_left()
+
+
+def test_split_save_needs_a_process_with_one_thread(tmp_path):
+    D = np.arange(12.0).reshape(6, 2)
+    with forced_split(2) as run:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(samplers, "_blas_threads", lambda: 2)
+            assert save_text(D, True, tmp_path) == serial_csv(D)
+        # a native thread, one Python does not know of
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(io, "_threads", lambda: 2)
+            assert save_text(D, True, tmp_path) == serial_csv(D)
+    assert run.forks == []
+
+
+def test_split_save_memory_is_one_row(tmp_path):
+    # the bound of test_save_csv_memory_is_one_row, with the split forced
+    D = np.random.default_rng(0).standard_normal((100, 20_000))
+    path = tmp_path / "m.csv"
+    with forced_split(2) as run:
+        _, peak = traced_peak(save_csv, D, path)
+    assert len(run.forks) == 1
+    assert peak < 4 << 20
+    assert (np.loadtxt(path, delimiter=",") == D).all()
+
+
+def test_split_after_a_split_selection_pass(tmp_path):
+    # a split selection pass leaves its pool's threads running; a load or
+    # save that splits ends them, so that the process can fork
+    D = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    X = np.zeros((8, 80_000))
+    with forced_split(2) as run:
+        for call in (lambda: load_csv(path).tobytes() == D.tobytes(),
+                     lambda: save_text(D, False, tmp_path) == serial_csv(D)):
+            forks = len(run.forks)
+            assert len(samplers._map_spans(lambda a, b: (a, b), X, 1000)) == 2
+            assert threading.active_count() > 1
+            assert call()
+            assert len(run.forks) == forks + 1 and samplers._pool is None
+            assert threading.active_count() == 1
+    assert run.splits == [True]
+    assert no_child_left()
+
+
+def test_a_failed_fork_falls_back(tmp_path):
+    D = np.random.default_rng(2).standard_normal((6, 3))
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    with forced_split(3) as run, pytest.MonkeyPatch.context() as mp:
+        counted = os.fork
+
+        def second_fails():
+            if run.forks:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return counted()
+
+        mp.setattr(os, "fork", second_fails)
+        # the load parses in one piece; the save formats the span it could
+        # not fork for
+        assert load_csv(path).tobytes() == D.tobytes()
+        assert run.forks == [1] and run.splits == [False]
+        run.forks.clear()
+        assert save_text(D, False, tmp_path) == serial_csv(D)
+        assert run.forks == [1]
+    assert no_child_left()
+
+
+def test_a_failed_child_is_reaped_not_killed(tmp_path, monkeypatch):
+    # the child keeps its pipe open until it exits, so the parent, seeing
+    # the pipe end, gets its exit status, however slow the exit
+    D = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    parent, span_rows, exit_ = os.getpid(), io._span_rows, os._exit
+
+    def raising(path, span):
+        if os.getpid() != parent:
+            raise RuntimeError("the child's parse failed")
+        return span_rows(path, span)
+
+    def slow_exit(status):
+        time.sleep(0.2)
+        exit_(status)
+
+    monkeypatch.setattr(io, "_span_rows", raising)
+    monkeypatch.setattr(os, "_exit", slow_exit)
+    codes = exit_codes(monkeypatch)
+    with forced_split(2) as run:
+        assert load_csv(path).tobytes() == D.tobytes()
+    assert run.splits == [False] and codes == [1]
+    assert no_child_left()
+
+
+def test_a_thread_outside_the_pool_keeps_it(tmp_path):
+    # that thread may be in a split, using the pool; and with it running
+    # the process may not fork anyway
+    D = np.arange(12.0).reshape(6, 2)
+    X = np.zeros((8, 80_000))
+    done = threading.Event()
+    other = threading.Thread(target=done.wait, args=(30,))
+    with forced_split(2) as run:
+        assert len(samplers._map_spans(lambda a, b: (a, b), X, 1000)) == 2
+        other.start()
+        try:
+            assert save_text(D, False, tmp_path) == serial_csv(D)
+            assert samplers._pool is not None
+        finally:
+            done.set()
+            other.join(30)
+    assert not other.is_alive() and run.forks == []
+
+
+SAVE_SCRIPT = """
+import os, sys
+import numpy as np
+from srskit import io, samplers
+io._SPAN_VALUES = 1
+samplers._workers = lambda: 2
+samplers._blas_threads = lambda: 1
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+# block-buffered, even under PYTHONUNBUFFERED
+sys.stdout = open(sys.stdout.fileno(), "w", closefd=False)
+sys.stdout.write("unflushed text\\n")
+io.save_csv(np.arange(12.0).reshape(6, 2), sys.argv[1])
+print("marker", len(forks))
+"""
+
+
+def test_split_save_children_leave_stdout_alone(tmp_path):
+    # a child that flushed the stdout buffer it inherited would print the
+    # parent's unflushed text a second time
+    src = os.path.dirname(os.path.dirname(os.path.abspath(io.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "m.csv"
+    run = subprocess.run([sys.executable, "-c", SAVE_SCRIPT, str(out)], env=env,
+                         check=True, capture_output=True, text=True, timeout=120)
+    if run.stdout == "unflushed text\nmarker 0\n" and io._threads() == 0:
+        pytest.skip("the OS does not count threads, so save_csv does not fork")
+    assert run.stdout == "unflushed text\nmarker 1\n"
+    assert out.read_text() == serial_csv(np.arange(12.0).reshape(6, 2))
