@@ -33,11 +33,11 @@ from .matrix import (
 )
 from .samplers import (
     SamplerSpec,
+    _spatial,
     as_matrix_with_norms,
     bind,
     sample_gaussian_directions,
     sampler_input,
-    srs_select_unchecked,
 )
 from .synthgen import ArcSpec, gen_arc_clusters
 
@@ -151,9 +151,11 @@ def per_cluster_means(
 
 def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     """Per-cluster fractions of T spatial draws with replacement from the
-    unit columns of ``X``, holding the T x N1 direction matrix.  Tied
-    columns go to the lowest column index, or with ``by_cluster`` to the
-    lowest cluster id: selection then sees the columns sorted by cluster.
+    unit columns of ``X``, counted a row group of directions at a time: it
+    holds one group and O(N2 + clusters), never T directions or picks.
+    Tied columns go to the lowest column index, or with ``by_cluster`` to
+    the lowest cluster id: selection then sees the columns sorted by
+    cluster.
     """
     X = check_unit_columns(*as_matrix_with_norms(X))
     if T < 1:
@@ -163,9 +165,10 @@ def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     if T > np.iinfo(np.intp).max:
         raise ValueError(f"n={T} is more draws than an array can hold")
     order = np.argsort(labels.values, kind="stable") if by_cluster else slice(None)
-    phi = sample_gaussian_directions(T, X.shape[0], rng)
-    pos = srs_select_unchecked(X[:, order], phi, with_replacement=True)
-    return np.bincount(labels.values[order][pos], minlength=labels.n_clusters) / T
+    ids = labels.values[order]
+    select = _spatial(X[:, order], T, with_replacement=True)
+    picks = select(lambda a, b: sample_gaussian_directions(b - a, X.shape[0], rng))
+    return sum(np.bincount(ids[p], minlength=labels.n_clusters) for p in picks) / T
 
 
 def estimate_region_areas(

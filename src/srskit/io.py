@@ -7,13 +7,14 @@ integer per line.  Lines starting with ``#`` are comments and skipped
 by every loader.
 
 Files are UTF-8 text; a line that is not is a ParseError naming it.
-Reading and writing stream line by line.  A large matrix file is parsed
-in line spans, and a large matrix formatted in row spans, one per worker
-(``samplers._workers``): the first by the calling process, each other
-by a forked child (``_Forks``) that sends its rows, or its lines, down a
-pipe.  The array and the bytes are the serial ones.  Beyond the matrix,
-a child holds its own span's rows or text, and the calling process one
-line or row of text at a time.
+Reading and writing stream line by line.  A matrix file is parsed by
+one ``np.loadtxt`` per line span, and a matrix formatted in row spans:
+one span when small, else one per worker (``samplers._workers``), the
+first by the calling process and each other by a forked child
+(``_Forks``) that sends its rows, or its lines, down a pipe.  The array
+and the bytes are those of one span; a bad line falls back to a line
+loop that names it.  Beyond the matrix, a child holds its own span's
+rows or text, and the calling process one line or row of text at a time.
 Every text output, report CSVs included, goes through ``write_lines``:
 the comment echo as '#' lines, then the lines, to a path or an open
 stream.
@@ -26,6 +27,7 @@ import itertools
 import os
 import signal
 import struct
+import time
 from contextlib import AbstractContextManager, closing, suppress
 from functools import partial
 
@@ -147,48 +149,20 @@ def _send_lines(D, out, span) -> None:
 def load_csv(path) -> np.ndarray:
     """Read a matrix CSV; raises ParseError/ShapeError on bad content.
 
-    A large file is parsed in line spans, one per worker (``_line_spans``),
-    the first here and each other in a forked child (``_load_spans``): the
-    array is the serial parse's, bit for bit, and any irregularity falls
-    back to the serial parse, which names the line.
+    The file is parsed by ``np.loadtxt`` in line spans (``_line_spans``),
+    the first here and each other in a forked child (``_load_spans``); a
+    small file is one span.  The array is the one-span parse's, bit for
+    bit: a split that fails is parsed again as one span, and bad content
+    falls back to the line loop (``_parse_rows``), which names the line.
     """
     edges = _line_spans(path)
-    D = None if edges is None else _load_spans(path, edges)
-    return _load_serial(path) if D is None else D
-
-
-def _loadtxt(numbered, linenos: list):
-    """``np.loadtxt`` over the texts of (line number, text) rows, appending
-    each line number to ``linenos``; None when there are none."""
-    first = next(numbered, None)
-    if first is None:
-        # loadtxt only warns on an empty input
-        return None
-
-    def texts():
-        for lineno, text in itertools.chain([first], numbered):
-            linenos.append(lineno)
-            yield text
-
-    return np.loadtxt(texts(), delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-
-
-def _load_serial(path) -> np.ndarray:
-    linenos = []
-    with closing(_data_lines(path)) as numbered:
-        try:
-            D = _loadtxt(numbered, linenos)
-        except ValueError:
-            # a ragged row or a field loadtxt cannot read: the line loop,
-            # on a second read, names the line, and also takes the fields
-            # only float() accepts (``1_0``)
-            with closing(_data_lines(path)) as again:
-                return _parse_rows(again)
+    D = _load_spans(path, edges)
+    if D is None and len(edges) > 2:
+        D = _load_spans(path, [0, edges[-1]])
     if D is None:
-        raise ParseError(1, "empty matrix file")
-    bad = np.flatnonzero(~np.isfinite(D).all(axis=1))
-    if bad.size:
-        raise ParseError(linenos[bad[0]], "non-finite value")
+        # a bad line, or a field only float() reads (``1_0``)
+        with closing(_data_lines(path)) as numbered:
+            return _parse_rows(numbered)
     return D
 
 
@@ -211,6 +185,11 @@ _SPAN_BYTES = 1 << 19
 _SPAN_VALUES = 1 << 14
 
 
+# seconds _split waits for the OS to stop counting a joined pool thread
+# (read at once, 1 count in 500 still held it)
+_SETTLE_S = 0.005
+
+
 def _threads() -> int:
     """The threads this process runs as the OS counts them, native ones
     (a BLAS pool, say) included; 0 where the OS does not tell."""
@@ -225,25 +204,26 @@ def _split(parts: int) -> int:
     (``samplers._workers``), the fewer, if the process may fork, else 1.
     It may when ``os.fork`` exists, OpenBLAS runs one thread and, with the
     ``samplers._map_spans`` pool ended, the OS counts one thread: a child
-    forked from a threaded process can deadlock on a lock another held."""
+    forked from a threaded process can deadlock on a lock another held;
+    after ending a pool the count is read again for up to _SETTLE_S."""
     k = min(samplers._workers(), parts)
     if k < 2 or not hasattr(os, "fork") or samplers._blas_threads() > 1:
         return 1
-    samplers._end_pool()
-    return k if _threads() == 1 else 1
+    deadline = time.monotonic() + _SETTLE_S * samplers._end_pool()
+    while (n := _threads()) > 1 and time.monotonic() < deadline:
+        time.sleep(_SETTLE_S / 20)
+    return k if n == 1 else 1
 
 
-def _line_spans(path) -> list | None:
-    """Offsets 0 = e0 < e1 < ... < ek, the file's size, of k >= 2 spans of
-    whole lines, one per worker (``samplers._workers``) and at most one
-    per ``_SPAN_BYTES``, each but the first starting at the first line
-    start from i/k of the file on; None when the file is to be parsed in
+def _line_spans(path) -> list:
+    """Offsets 0 = e0 < e1 < ... < ek, the file's size, of k spans of whole
+    lines, one per worker (``samplers._workers``) and at most one per
+    ``_SPAN_BYTES``, each but the first starting at the first line start
+    from i/k of the file on; [0, size] when the file is to be parsed in
     one piece (see ``_split``)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         k = _split(size // _SPAN_BYTES)
-        if k < 2:
-            return None
         edges = [0]
         for i in range(1, k):
             # a line start is 0 or just after a LF, alone or in a CRLF
@@ -254,7 +234,7 @@ def _line_spans(path) -> list | None:
             if fh.tell() == size:
                 break
             edges.append(fh.tell())
-    return edges + [size] if len(edges) > 1 else None
+    return edges + [size]
 
 
 def _load_spans(path, edges: list) -> np.ndarray | None:
@@ -271,6 +251,8 @@ def _load_spans(path, edges: list) -> np.ndarray | None:
             if len(kids.pipes) < len(spans):
                 return None
             first = _span_rows(path, (0, edges[1]))
+            if not spans:
+                return first
             shapes = [first.shape]
             for pipe in kids.pipes:
                 head = pipe.read(16)
@@ -355,12 +337,16 @@ def _send_rows(path, out, span) -> None:
 
 
 def _span_rows(path, span) -> np.ndarray:
-    """The rows of a line span, parsed as the serial path parses them;
-    ValueError when it has no data line or a value that is not finite."""
+    """The rows of a line span, parsed by one ``np.loadtxt``; ValueError
+    when it has no data line or a value that is not finite."""
     with closing(_data_lines(path, span)) as numbered:
-        D = _loadtxt(numbered, [])
-    if D is None or not np.isfinite(D).all():
-        raise ValueError("no data, or a non-finite value")
+        first = next(numbered, None)
+        if first is None:  # loadtxt only warns on an empty input
+            raise ValueError("no data line")
+        texts = (text for _, text in itertools.chain([first], numbered))
+        D = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    if not np.isfinite(D).all():
+        raise ValueError("a non-finite value")
     return D
 
 
@@ -383,6 +369,8 @@ def _parse_rows(numbered) -> np.ndarray:
         if not all(np.isfinite(row)):
             raise ParseError(lineno, "non-finite value")
         rows.append(row)
+    if not rows:
+        raise ParseError(1, "empty matrix file")
     return np.array(rows, dtype=np.float64)
 
 

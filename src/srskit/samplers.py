@@ -6,7 +6,8 @@ product along that direction.  That product is summed in float64 in a
 fixed order, so a pick depends on the data and the directions alone; a
 fast screen of |Phi . X|, computed and reduced in cache-sized tiles,
 decides which columns need the exact sum.  The data is checked once, in
-one pass over it, and then handed to ``srs_select_unchecked``.  Each
+one pass over it, and bound once to the one selector, ``_spatial``, which
+takes its directions a row group at a time.  Each
 direction picks its column independently, so the large passes over X
 (its check, its float32 copy, the screen and the rows screened again)
 are split into contiguous spans of whole tiles, one per worker thread,
@@ -128,13 +129,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _end_pool() -> None:
+def _end_pool() -> bool:
     """End the ``_map_spans`` pool's threads, so the process can fork,
-    unless a thread outside it runs, which may be in a split."""
+    unless a thread outside it runs (it may be in a split); whether it did."""
     others = set(threading.enumerate()) - {threading.current_thread()}
-    if _pool is not None and all(t.name.startswith(_POOL_NAME) for t in others):
-        _pool.shutdown()
-        _forget_pool()
+    if _pool is None or not all(t.name.startswith(_POOL_NAME) for t in others):
+        return False
+    _pool.shutdown()
+    _forget_pool()
+    return True
 
 
 def _map_spans(fn, X: np.ndarray, cols: int) -> list:
@@ -307,25 +310,19 @@ def _settle(best, need, taken, screen, batch, tol, score):
     return best
 
 
-def srs_select_unchecked(
-    X: np.ndarray, phi: np.ndarray, with_replacement: bool = False
-) -> np.ndarray:
-    """``srs_select_indices`` without its input checks.
-
-    ``X`` must be a float64 matrix of unit columns, and ``phi`` a finite
-    float64 matrix with X.shape[0] columns and, without replacement, at
-    most X.shape[1] rows.  The spatial samplers check that once and call
-    this.
-    """
-    n = phi.shape[0]
+def _spatial(X: np.ndarray, n: int, with_replacement: bool):
+    """The selector of ``n`` directions on ``X``, checked: float64 unit
+    columns, at least ``n`` of them without replacement.  The steps that
+    need no random numbers run here, once: the screen's float32 copy of X,
+    the tile shape, the rounding bounds, the re-screen batch.
+    ``select(directions)`` yields the picks of each row group [a, b) in
+    order, calling ``directions(a, b)`` (finite float64, X.shape[0]
+    columns) only when that group runs."""
     n1, n2 = X.shape
-    # a float32 sum of N1 products has a useful bound only while N1 u << 1
-    if _FLOAT32_MIN_N1 <= n1 < 1 << 20:
-        # in C order: the GEMM of a few rows screened again packs an
-        # F-ordered copy slowly (16 rows of 100 x 50,000: 2.7 times the time)
-        Xs = np.empty((n1, n2), np.float32)
-    else:
-        Xs = X
+    # a float32 sum of N1 products has a useful bound only while N1 u << 1;
+    # in C order, as the GEMM of a few rows screened again packs an
+    # F-ordered copy slowly (16 rows of 100 x 50,000: 2.7 times the time)
+    Xs = np.empty((n1, n2), np.float32) if _FLOAT32_MIN_N1 <= n1 < 1 << 20 else X
     dtype = Xs.dtype
     rows, cols = _tile_shape(Xs, n)
     if Xs is not X:
@@ -342,46 +339,53 @@ def srs_select_unchecked(
         * (1 + NORM_TOL) * (1 + _gamma(n1 + 8, u64))
     )
     eta = 16 * n1 * float(np.finfo(dtype).tiny)
-    buf = np.zeros(rows * n2, dtype) if cols == n2 else None
     # rows screened again go in batches of _MIN_FULL_ROWS, so that each GEMM
     # packs X for as many rows as a full-width tile does, but of at most
     # 8 tiles (and at least one row)
     batch = max(1, min(_MIN_FULL_ROWS, 8 * rows * cols // n2))
-    out = np.empty(n, dtype=np.int64)
-    taken = None if with_replacement else np.zeros(n2, dtype=bool)
-    for start in range(0, n, rows):
-        # each row scaled by a power of two (exactly), so that its largest
-        # entry lies in [1/2, 1); a screen entry of a unit column is then
-        # within tol[i] / 2 of its exact_abs_dots score, and the best score
-        # of row i within tol[i] of the row's largest screen entry
-        phi_b = phi[start : start + rows]
-        phi_b = np.ldexp(phi_b, -np.frexp(np.abs(phi_b).max(axis=1))[1][:, None])
-        tol = rel * np.sqrt(np.einsum("ij,ij->i", phi_b, phi_b)) + eta
-        score = partial(exact_abs_dots, phi_b, X)
-        stop = start + phi_b.shape[0]
-        if cols == n2:  # one tile holds whole rows: settle from it
-            q = _abs_product(phi_b.astype(dtype, copy=False), Xs, buf)
-            if taken is None:
-                out[start:stop] = pick_argmax(q, tol, score)
-            else:
-                out[start:stop] = pick_distinct_argmax(q, taken, tol, score)
-            continue
-        phi_c = phi_b.astype(dtype, copy=False)
-        best, top, second = _top_two(phi_c, Xs, cols)
-        # as in pick_argmax: top - tol rounded to the screen's dtype and
-        # one step down, so the cut is never above it
-        cut = np.nextafter((top - tol).astype(dtype), -np.inf)
 
-        def screen(r):
-            # whole rows, each worker filling its span of them
-            q = np.zeros((r.size, n2), dtype)
-            _map_spans(lambda a, b: _abs_product(
-                phi_c[r], Xs[:, a:b], q[:, a:b]), Xs, cols)
-            return q
+    def select(directions):
+        buf = np.zeros(rows * n2, dtype) if cols == n2 else None
+        taken = None if with_replacement else np.zeros(n2, dtype=bool)
+        for start in range(0, n, rows):
+            # each row scaled by a power of two (exactly), so that its largest
+            # entry lies in [1/2, 1); a screen entry of a unit column is then
+            # within tol[i] / 2 of its exact_abs_dots score, and the best score
+            # of row i within tol[i] of the row's largest screen entry
+            phi_b = directions(start, min(n, start + rows))
+            phi_b = np.ldexp(phi_b, -np.frexp(np.abs(phi_b).max(axis=1))[1][:, None])
+            tol = rel * np.sqrt(np.einsum("ij,ij->i", phi_b, phi_b)) + eta
+            score = partial(exact_abs_dots, phi_b, X)
+            phi_c = phi_b.astype(dtype, copy=False)
+            if cols == n2:  # one tile holds whole rows: settle from it
+                q = _abs_product(phi_c, Xs, buf)
+                if taken is None:
+                    yield pick_argmax(q, tol, score)
+                else:
+                    yield pick_distinct_argmax(q, taken, tol, score)
+                continue
+            best, top, second = _top_two(phi_c, Xs, cols)
+            # as in pick_argmax: top - tol rounded to the screen's dtype and
+            # one step down, so the cut is never above it
+            cut = np.nextafter((top - tol).astype(dtype), -np.inf)
 
-        out[start:stop] = _settle(
-            best, second >= cut, taken, screen, batch, tol, score)
-    return out
+            def screen(r):
+                # whole rows, each worker filling its span of them
+                q = np.zeros((r.size, n2), dtype)
+                _map_spans(lambda a, b: _abs_product(
+                    phi_c[r], Xs[:, a:b], q[:, a:b]), Xs, cols)
+                return q
+
+            yield _settle(best, second >= cut, taken, screen, batch, tol, score)
+
+    return select
+
+
+def _picks(select, directions) -> np.ndarray:
+    """Every pick of ``select(directions)`` in order: the selection of an
+    srs draw or of ``srs_select_indices``: the function a layer tracer
+    should wrap to time the ``samplers.project`` layer."""
+    return np.concatenate(list(select(directions)))
 
 
 def as_matrix_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
@@ -434,7 +438,7 @@ def srs_select_indices(
         raise TooManySamplesError(
             f"requested {n} distinct columns from {X.shape[1]}"
         )
-    return srs_select_unchecked(X, phi, with_replacement)
+    return _picks(_spatial(X, n, with_replacement), lambda a, b: phi[a:b])
 
 
 def _sketch(M, idx, method, with_replacement):
@@ -465,10 +469,11 @@ def _checked(D: np.ndarray, n: int, distinct: bool):
 def _bind_srs(X: np.ndarray, n: int, with_replacement: bool):
     X = check_unit_columns(*_checked(X, n, distinct=not with_replacement))
     method = "srs_repl" if with_replacement else "srs"
+    select = _spatial(X, n, with_replacement)
 
     def draw(rng):
-        phi = sample_gaussian_directions(n, X.shape[0], rng)
-        idx = srs_select_unchecked(X, phi, with_replacement)
+        idx = _picks(select, lambda a, b: sample_gaussian_directions(
+            b - a, X.shape[0], rng))
         return _sketch(X, idx, method, with_replacement)
 
     return draw

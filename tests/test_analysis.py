@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -69,6 +70,53 @@ def test_region_areas_asymmetric_arcs():
     areas = estimate_region_areas(D, labels, 10_000, np.random.default_rng(5))
     assert abs(areas[0] - 0.625) < 0.02
     assert abs(areas[1] - 0.375) < 0.02
+
+
+@pytest.mark.parametrize("estimate", [estimate_region_areas,
+                                      empirical_sampling_probabilities])
+def test_estimator_memory_does_not_grow_with_draws(estimate):
+    # directions are drawn and counted a row group at a time, so the peak
+    # is one group and O(N2 + clusters) whatever T; holding all T x N1
+    # directions and T picks took 1.5 MiB at T = 20,000 and 6.1 MiB at
+    # T = 200,000 on these arcs
+    D, labels = arc_data(1.2, 0.6, 500, 50, seed=0)
+    peaks = []
+    for T in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            estimate(D, labels, T, np.random.default_rng(1))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1 << 20
+
+
+def test_srs_trial_loop_copies_its_screen_once(monkeypatch):
+    # the float32 screen copy of X and the tile shape are made when the
+    # sampler is bound, once per trial loop, not once per draw
+    rng = np.random.default_rng(18)
+    X = normalize_columns(rng.standard_normal((8, 60)))
+    labels = ClusterLabels(rng.integers(0, 3, 60), 3)
+    copies, shapes = [], []
+    map_spans, tile_shape = samplers._map_spans, samplers._tile_shape
+
+    def counted_map(fn, M, cols):
+        # with whole rows in one tile, the copy is the one pass over a
+        # float32 matrix
+        if M.dtype == np.float32:
+            copies.append(M.shape)
+        return map_spans(fn, M, cols)
+
+    def counted_shape(Xs, n):
+        shapes.append(Xs.shape)
+        return tile_shape(Xs, n)
+
+    monkeypatch.setattr(samplers, "_map_spans", counted_map)
+    monkeypatch.setattr(samplers, "_tile_shape", counted_shape)
+    specs = [SamplerSpec(method=m, n=1) for m in ("srs", "srs_repl")]
+    rep = coverage_experiment(X, labels, specs, n=10, trials=5, master_seed=19)
+    assert len({tr for tr, *_ in rep.rows}) == 5
+    assert copies == shapes == [(8, 60), (8, 60)]
 
 
 def test_two_estimators_agree():

@@ -298,7 +298,8 @@ def forced_split(workers):
     """Make load_csv split a file of any size into ``workers`` spans, and
     save_csv a matrix of any size into up to ``workers`` spans of 2 rows or
     more; yields a record of the forks they make (``forks``) and of whether
-    each load split gave the array (``splits``, False where it fell back).
+    each load split into two spans or more gave the array (``splits``,
+    False where it fell back).
     The program ends the threads of an earlier ``_map_spans`` split itself;
     a process running native threads (a BLAS pool, say) would not fork, so
     there the test is skipped."""
@@ -322,7 +323,8 @@ def forced_split(workers):
 
     def recorded(path, edges):
         D = load_spans(path, edges)
-        run.splits.append(D is not None)
+        if len(edges) > 2:
+            run.splits.append(D is not None)
         return D
 
     with pytest.MonkeyPatch.context() as mp:
@@ -374,7 +376,7 @@ def test_split_load_runs_on_any_newline(tmp_path):
     with forced_split(3) as run:
         got = load_csv(path)
     assert len(run.forks) == 2 and run.splits == [True]
-    assert got.tobytes() == io._load_serial(path).tobytes()
+    assert got.tobytes() == io._load_spans(path, [0, path.stat().st_size]).tobytes()
     assert got.tolist() == [[1.5, 2.0], [0.25, -3.0], [4.0, 5.0], [6.0, 7.0]]
 
 
@@ -493,10 +495,10 @@ def test_split_load_cuts_spans_of_span_bytes_or_more(tmp_path):
     size = path.stat().st_size
     with forced_split(8) as run, pytest.MonkeyPatch.context() as mp:
         # at most one span per _SPAN_BYTES, however many workers
-        for span_bytes, spans in [(size // 3, 3), (size // 2, 2), (size // 2 + 1, 0)]:
+        for span_bytes, spans in [(size // 3, 3), (size // 2, 2), (size // 2 + 1, 1)]:
             mp.setattr(io, "_SPAN_BYTES", span_bytes)
             edges = io._line_spans(path)
-            assert (len(edges) - 1 if edges else 0) == spans
+            assert len(edges) - 1 == spans
             assert load_csv(path).tobytes() == D.tobytes()
     assert len(run.forks) == 3 and run.splits == [True, True]
     assert no_child_left()
@@ -673,6 +675,34 @@ def test_split_after_a_split_selection_pass(tmp_path):
             assert len(run.forks) == forks + 1 and samplers._pool is None
             assert threading.active_count() == 1
     assert run.splits == [True]
+    assert no_child_left()
+
+
+def test_split_reads_the_thread_count_again_after_ending_the_pool(tmp_path):
+    # the OS may count a pool thread for a moment after it is joined: a
+    # load that ended the pool reads the count again until it reads 1, and
+    # one that ended none reads it once
+    D = np.arange(12.0).reshape(6, 2)
+    path = tmp_path / "m.csv"
+    save_csv(D, path)
+    X = np.zeros((8, 80_000))
+    with forced_split(2) as run, pytest.MonkeyPatch.context() as mp:
+        settled, reads = io._threads, []
+
+        def lagging():
+            reads.append(1)
+            return 2 if len(reads) <= 2 else settled()
+
+        mp.setattr(io, "_threads", lagging)
+        mp.setattr(io, "_SETTLE_S", 1.0)  # room for a slow host's sleeps
+        assert len(samplers._map_spans(lambda a, b: (a, b), X, 1000)) == 2
+        assert load_csv(path).tobytes() == D.tobytes()
+        assert samplers._pool is None and len(reads) == 3
+        assert run.forks == [1] and run.splits == [True]
+        reads.clear()
+        mp.setattr(io, "_threads", lambda: reads.append(1) or 2)
+        assert load_csv(path).tobytes() == D.tobytes()
+        assert reads == [1] and run.forks == [1]
     assert no_child_left()
 
 

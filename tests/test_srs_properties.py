@@ -166,6 +166,28 @@ def test_blocked_selection_matches_dense(monkeypatch, n, with_replacement):
         assert (got == want).all(), layout
 
 
+@pytest.mark.parametrize("layout", [(ROWS, None), (ROWS, 5)], ids=["rows", "tiles"])
+@pytest.mark.parametrize("n1", [3, 40])  # a float64 and a float32 screen
+@pytest.mark.parametrize("method", ["srs", "srs_repl"])
+def test_draws_take_their_directions_a_row_group_at_a_time(
+        monkeypatch, method, n1, layout):
+    # a bound draw draws the directions of each row group of ROWS as that
+    # group runs: the picks and the generator state are those of one
+    # (n, N1) draw handed to srs_select_indices
+    set_layout(monkeypatch, layout)
+    X = normalize_columns(np.random.default_rng(n1).standard_normal((n1, 40)))
+    n = 3 * ROWS + 2  # four row groups, the last partial
+    draw = samplers.bind(X, srskit.SamplerSpec(method=method, n=n))
+    rng = np.random.default_rng(7)
+    ref = np.random.default_rng(7)
+    for _ in range(3):
+        got = draw(rng).indices
+        phi = ref.standard_normal((n, n1))
+        want = srs_select_indices(X, phi, with_replacement=method == "srs_repl")
+        assert got.tolist() == want.tolist()
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def canonical_abs_scores(X, phi):
     """Dense |phi . X| by the exact rule: each row of phi scaled by a power
     of two to a largest entry in [1/2, 1), products summed left to right."""
