@@ -23,20 +23,33 @@ DEFAULT_RANK_TOL = 1e-8
 NORM_TOL = 1e-6
 
 
-def as_matrix(values) -> np.ndarray:
-    """Coerce ``values`` to a validated 2-D float64 matrix.
+def column_norms(X: np.ndarray) -> np.ndarray:
+    """l2-norm of every column of ``X``."""
+    squares = np.einsum("ij,ij->j", X, X)
+    return np.sqrt(squares, out=squares)
 
-    Raises ShapeError when the input is not two-dimensional, is empty,
-    or contains non-finite entries.
-    """
+
+def checked_with_norms(values, norms=column_norms) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix(values)`` and its column norms ``norms(arr)``: one pass.
+
+    A finite sum of squares proves its column finite, so the entries are
+    checked one by one only when a norm is not: an entry is not, or its
+    square overflows (which passes)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"matrix must be at least 1x1, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    col_norms = norms(arr)
+    if not (np.isfinite(col_norms).all() or np.isfinite(arr).all()):
         raise ShapeError("matrix contains non-finite entries")
-    return arr
+    return arr, col_norms
+
+
+def as_matrix(values) -> np.ndarray:
+    """Coerce ``values`` to a validated 2-D float64 matrix; ShapeError when
+    it is not 2-D, is empty or has a non-finite entry."""
+    return checked_with_norms(values)[0]
 
 
 @dataclass(frozen=True)
@@ -103,19 +116,13 @@ def spec_rng(rng: np.random.Generator | None, spec) -> np.random.Generator:
     return np.random.default_rng(spec.seed)
 
 
-def column_norms(X: np.ndarray) -> np.ndarray:
-    """l2-norm of every column of ``X``."""
-    return np.sqrt(np.einsum("ij,ij->j", X, X))
-
-
 def normalize_columns(D: np.ndarray) -> np.ndarray:
     """Scale every column of ``D`` to unit l2-norm.
 
     Raises ZeroColumnError for the first column whose norm is exactly
     zero; near-zero but nonzero columns are normalized as usual.
     """
-    D = as_matrix(D)
-    norms = column_norms(D)
+    D, norms = checked_with_norms(D)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroColumnError(int(zero[0]))

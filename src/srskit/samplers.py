@@ -51,6 +51,7 @@ from .matrix import (
     SketchResult,
     as_matrix,
     check_unit_columns,
+    checked_with_norms,
     column_norms,
     singular_value_rank,
     spec_rng,
@@ -389,21 +390,10 @@ def _picks(select, directions) -> np.ndarray:
 
 
 def as_matrix_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
-    """``as_matrix(values)`` and its column norms, from one pass over the data
-    (split across workers, see ``_map_spans``).
-
-    A finite sum of squares proves every entry of its column finite, so
-    the entry-by-entry check of ``as_matrix`` runs only when a norm is
-    not finite: an entry is not, or its square overflows.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 2 and arr.size:
-        parts = _map_spans(lambda a, b: column_norms(arr[:, a:b]), arr, 1)
-        norms = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if np.isfinite(norms).all():
-            return arr, norms
-    # raises, unless it is a square that overflowed
-    return as_matrix(arr), norms
+    """``checked_with_norms(values)``, its norm pass split across workers
+    (see ``_map_spans``)."""
+    return checked_with_norms(values, lambda arr: np.concatenate(
+        _map_spans(lambda a, b: column_norms(arr[:, a:b]), arr, 1)))
 
 
 def srs_select_indices(
@@ -522,11 +512,10 @@ def _volume_residuals(D, Q, idx, cols):
 
 
 def _bind_volume(D: np.ndarray, n: int):
-    D, _ = _checked(D, n, distinct=True)
+    D, norms = _checked(D, n, distinct=True)
     N1, n2 = D.shape
     tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
     sq = np.einsum("ij,ij->j", D, D)
-    norms = np.sqrt(sq)
     cols = max(1, _TILE_BYTES // (8 * N1))
     # an update rounds res_sq[j] by about u (res_sq[j] + |b . d_j| ||d_j||):
     # the GEMV, b's departure from orthogonality, and the subtraction

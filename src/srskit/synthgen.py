@@ -104,13 +104,16 @@ def gen_arc_clusters(
     """Unit-circle points spread uniformly over two disjoint arcs."""
     validate_arc_spec(spec)
     rng = spec_rng(rng, spec)
-    angles = np.concatenate(
-        [
-            spec.center1 + spec.tau1 * (rng.random(spec.n1) - 0.5),
-            spec.center2 + spec.tau2 * (rng.random(spec.n2) - 0.5),
-        ]
-    )
-    D = np.vstack([np.cos(angles), np.sin(angles)])
+    D = np.empty((2, spec.n1 + spec.n2))
+    angles = D[1]  # the sines overwrite them, last
+    for arc, tau, center in ((angles[: spec.n1], spec.tau1, spec.center1),
+                             (angles[spec.n1 :], spec.tau2, spec.center2)):
+        rng.random(out=arc)
+        arc -= 0.5
+        arc *= tau
+        arc += center
+    np.cos(angles, out=D[0])
+    np.sin(angles, out=angles)
     labels = np.repeat(np.array([0, 1]), [spec.n1, spec.n2])
     return D, ClusterLabels(labels, 2)
 
@@ -139,12 +142,13 @@ def gen_union_subspaces(
     """
     validate_subspace_spec(spec)
     rng = spec_rng(rng, spec)
-    blocks = []
-    for d, pop in zip(spec.dims, spec.populations):
+    D = np.empty((spec.ambient, sum(spec.populations)))
+    edges = np.cumsum((0, *spec.populations))
+    for d, a, b in zip(spec.dims, edges, edges[1:]):
         basis, _ = np.linalg.qr(rng.standard_normal((spec.ambient, d)))
-        g = rng.standard_normal((d, pop))
+        g = rng.standard_normal((d, b - a))
         g /= column_norms(g)
-        blocks.append(basis @ g)
-    D = np.hstack(blocks)
+        # a column slice of C-ordered D is a valid GEMM output: one copy
+        np.matmul(basis, g, out=D[:, a:b])
     labels = np.repeat(np.arange(len(spec.dims)), spec.populations)
     return D, ClusterLabels(labels, len(spec.dims))

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,20 +73,14 @@ def test_region_areas_asymmetric_arcs():
 
 @pytest.mark.parametrize("estimate", [estimate_region_areas,
                                       empirical_sampling_probabilities])
-def test_estimator_memory_does_not_grow_with_draws(estimate):
+def test_estimator_memory_does_not_grow_with_draws(estimate, traced_peak):
     # directions are drawn and counted a row group at a time, so the peak
     # is one group and O(N2 + clusters) whatever T; holding all T x N1
     # directions and T picks took 1.5 MiB at T = 20,000 and 6.1 MiB at
     # T = 200,000 on these arcs
     D, labels = arc_data(1.2, 0.6, 500, 50, seed=0)
-    peaks = []
-    for T in (20_000, 200_000):
-        tracemalloc.start()
-        try:
-            estimate(D, labels, T, np.random.default_rng(1))
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    peaks = [traced_peak(estimate, D, labels, T, np.random.default_rng(1))[1]
+             for T in (20_000, 200_000)]
     assert peaks[1] - peaks[0] < 1 << 20
 
 

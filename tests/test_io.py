@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import types
 from io import BytesIO, StringIO
 
@@ -197,18 +196,7 @@ def test_utf8_text_with_any_newline(tmp_path):
     assert path.read_bytes() == "# é\n1.0\n".encode()
 
 
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
-def test_save_csv_memory_is_one_row(tmp_path):
+def test_save_csv_memory_is_one_row(tmp_path, traced_peak):
     # formatting the whole matrix at once held every float as a Python
     # object and every line as a str: 63 MiB here
     D = np.random.default_rng(0).standard_normal((100, 20_000))
@@ -218,7 +206,7 @@ def test_save_csv_memory_is_one_row(tmp_path):
     assert (np.loadtxt(path, delimiter=",") == D).all()
 
 
-def test_load_csv_memory_is_the_result(tmp_path):
+def test_load_csv_memory_is_the_result(tmp_path, traced_peak):
     # keeping every data line as a str held 3.6 times the result
     D = np.random.default_rng(0).standard_normal((100, 20_000))
     path = tmp_path / "m.csv"
@@ -504,7 +492,7 @@ def test_split_load_cuts_spans_of_span_bytes_or_more(tmp_path):
     assert no_child_left()
 
 
-def test_split_load_memory_is_the_result(tmp_path):
+def test_split_load_memory_is_the_result(tmp_path, traced_peak):
     # the bound of test_load_csv_memory_is_the_result, with the split forced
     D = np.random.default_rng(0).standard_normal((100, 20_000))
     path = tmp_path / "m.csv"
@@ -647,7 +635,7 @@ def test_split_save_needs_a_process_with_one_thread(tmp_path):
     assert run.forks == []
 
 
-def test_split_save_memory_is_one_row(tmp_path):
+def test_split_save_memory_is_one_row(tmp_path, traced_peak):
     # the bound of test_save_csv_memory_is_one_row, with the split forced
     D = np.random.default_rng(0).standard_normal((100, 20_000))
     path = tmp_path / "m.csv"

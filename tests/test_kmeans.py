@@ -1,5 +1,4 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,13 +206,8 @@ def test_restart_group_size_does_not_change_results(monkeypatch, budget):
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_lockstep_memory_is_bounded_by_groups():
+def test_lockstep_memory_is_bounded_by_groups(traced_peak):
     D = np.random.default_rng(11).standard_normal((100, 2000))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        kmeans(D, 8, np.random.default_rng(12), max_iters=2, restarts=200)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(
+        kmeans, D, 8, np.random.default_rng(12), max_iters=2, restarts=200)
     assert peak < D.nbytes + 2 * sys.modules["srskit.kmeans"]._TILE_BYTES

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -193,6 +191,44 @@ def test_leverage_sampling_runs():
     r = leverage_sampling(D, 8, np.random.default_rng(0), k=3)
     assert r.indices.size == 8
     assert r.method == "leverage"
+
+
+def chi_square_fits(counts, p, alpha=1e-6):
+    """Pearson's test of ``counts`` against cell probabilities ``p``; cells
+    of probability 0 must be empty."""
+    assert counts[p == 0].sum() == 0
+    cells = p > 0
+    expected = counts.sum() * p[cells]
+    stat = float(((counts[cells] - expected) ** 2 / expected).sum())
+    return stat < chi2.isf(alpha, cells.sum() - 1)
+
+
+def test_leverage_sampling_draws_the_leverage_probabilities():
+    D = np.random.default_rng(0).standard_normal((5, 12))
+    p = leverage_probabilities(D)
+    # full row rank: the leverage of column j is d_j^T (D D^T)^-1 d_j
+    exact = np.einsum("ij,ij->j", D, np.linalg.solve(D @ D.T, D)) / 5
+    assert np.allclose(p, exact, rtol=0, atol=1e-12)
+    idx = leverage_sampling(D, 20_000, np.random.default_rng(1)).indices
+    assert chi_square_fits(np.bincount(idx, minlength=12), p)
+
+
+def test_volume_sampling_first_two_picks_follow_their_residuals():
+    # P(j then k) = r1(j) / sum r1 * r2(k | j) / sum r2, with r1 the squared
+    # norms and r2 the squared residuals after projecting out d_j
+    D = np.random.default_rng(1).standard_normal((3, 5))
+    sq = np.einsum("ij,ij->j", D, D)
+    gram = D.T @ D
+    p = np.zeros((5, 5))
+    for j in range(5):
+        r2 = sq - gram[j] ** 2 / sq[j]
+        r2[j] = 0.0
+        p[j] = sq[j] / sq.sum() * r2 / r2.sum()
+    draw = samplers.bind(D, SamplerSpec(method="volume", n=2))
+    rng = np.random.default_rng(2)
+    pairs = np.array([draw(rng).indices for _ in range(3_000)])
+    counts = np.bincount(pairs[:, 0] * 5 + pairs[:, 1], minlength=25)
+    assert chi_square_fits(counts, p.ravel())
 
 
 def test_volume_sampling_distinct_and_spanning():
@@ -439,18 +475,12 @@ def test_volume_matches_residual_matrix_loop_adversarial():
 
 
 @pytest.mark.parametrize("rank, n", [(5, 12), (100, 30)])
-def test_volume_memory_is_below_one_copy_of_d(rank, n):
+def test_volume_memory_is_below_one_copy_of_d(rank, n, traced_peak):
     # low rank exhausts passes and recomputes the residuals exactly
     rng = np.random.default_rng(rank)
     D = rng.standard_normal((100, rank)) @ rng.standard_normal((rank, 20_000))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        got = volume_sampling(D, n, np.random.default_rng(1)).indices
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert np.unique(got).size == n
+    sketch, peak = traced_peak(volume_sampling, D, n, np.random.default_rng(1))
+    assert np.unique(sketch.indices).size == n
     assert peak < D.nbytes
 
 

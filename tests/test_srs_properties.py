@@ -12,7 +12,6 @@ import subprocess
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -386,7 +385,7 @@ def selection_bytes(n1, n2, workers=1):
     return workers * samplers._TILE_BYTES + batch + copy + (1 << 20)
 
 
-def test_selection_memory_is_one_block():
+def test_selection_memory_is_one_block(traced_peak):
     # the dense path held two n x N2 float64 arrays: 2 * 8 * n * N2 bytes,
     # and row blocks one of up to 16 MiB; the 1.28 MB float32 copy of X
     # fits in one tile, so selection runs on one thread
@@ -394,17 +393,11 @@ def test_selection_memory_is_one_block():
     n, n2 = 256, 40_000
     X = normalize_columns(rng.standard_normal((8, n2)))
     phi = rng.standard_normal((n, 8))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        srs_select_indices(X, phi)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(srs_select_indices, X, phi)
     assert peak < selection_bytes(8, n2) < 8 << 20
 
 
-def test_float32_selection_memory_is_one_block_and_one_copy(monkeypatch):
+def test_float32_selection_memory_is_one_block_and_one_copy(monkeypatch, traced_peak):
     # above the cut the screen adds one float32 copy of X to the tiles, one
     # tile per worker
     rng = np.random.default_rng(0)
@@ -414,13 +407,7 @@ def test_float32_selection_memory_is_one_block_and_one_copy(monkeypatch):
     phi = rng.standard_normal((n, n1))
     for workers in (1, 3):
         monkeypatch.setattr(samplers, "_workers", lambda: workers)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            srs_select_indices(X, phi)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(srs_select_indices, X, phi)
         assert peak < selection_bytes(n1, n2, workers) < (
             4 * n1 * n2 + (6 << 20) + (workers - 1) * samplers._TILE_BYTES)
 
@@ -434,17 +421,11 @@ def _arc_pair():
     lambda D, labels, rng: srs_with_replacement(D, 800, rng).indices,
     lambda D, labels, rng: estimate_region_areas(D, labels, 800, rng),
 ], ids=["srs_with_replacement", "estimate_region_areas"])
-def test_small_data_gets_small_blocks(monkeypatch, estimate):
+def test_small_data_gets_small_blocks(monkeypatch, estimate, traced_peak):
     # a fixed 16 MiB block was 200 times the data it screened; a tile is
     # 1 MiB here, 25 rows of every column
     D, labels = _arc_pair()
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        got = estimate(D, labels, np.random.default_rng(3))
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    got, peak = traced_peak(estimate, D, labels, np.random.default_rng(3))
     assert peak < 2 << 20
     # a budget that makes 16-column tiles of 512 rows, and one of 16 MiB
     for budget in [64 << 10, 32 << 20]:

@@ -151,3 +151,59 @@ def test_subspace_determinism():
 def test_subspace_homogeneous_needs_a_subspace(n_subspaces):
     with pytest.raises(BadDimsError, match=r"^n_subspaces must be >= 1$"):
         SubspaceSpec.homogeneous(8, 0, n_subspaces, 5)
+
+
+# ---------------------------------------------------------------------------
+# bitwise pins: the generators write in place, with the draws and the bits
+# of the block-by-block construction they replaced
+
+
+def hstack_subspaces(spec, rng):
+    blocks = []
+    for d, pop in zip(spec.dims, spec.populations):
+        basis, _ = np.linalg.qr(rng.standard_normal((spec.ambient, d)))
+        g = rng.standard_normal((d, pop))
+        g /= np.sqrt(np.einsum("ij,ij->j", g, g))
+        blocks.append(basis @ g)
+    return np.hstack(blocks)
+
+
+def vstack_arcs(spec, rng):
+    angles = np.concatenate([
+        spec.center1 + spec.tau1 * (rng.random(spec.n1) - 0.5),
+        spec.center2 + spec.tau2 * (rng.random(spec.n2) - 0.5),
+    ])
+    return np.vstack([np.cos(angles), np.sin(angles)])
+
+
+def assert_pinned(gen, old, spec):
+    got, _ = gen(spec)
+    want = old(spec, np.random.default_rng(spec.seed))
+    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+    rng = np.random.default_rng(spec.seed + 1)
+    old_rng = np.random.default_rng(spec.seed + 1)
+    got, _ = gen(spec, rng)
+    want = old(spec, old_rng)
+    assert got.view(np.int64).tobytes() == want.view(np.int64).tobytes()
+    assert rng.bit_generator.state == old_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("ambient, dims, populations", [
+    (6, (2, 3), (1, 1)),  # one point per subspace
+    (5, (5, 2), (7, 4)),  # a subspace of the ambient dimension
+    (9, (1, 1, 1), (3, 20, 2)),  # lines
+    (1, (1, 1), (4, 3)),  # ambient dimension 1
+    (12, (3, 12, 1, 4, 2, 6), (30, 1, 17, 5, 64, 9)),  # six blocks
+    (100, (10, 10, 10, 10), (400, 60, 30, 10)),
+])
+def test_union_of_subspaces_is_bitwise_the_block_stack(ambient, dims, populations):
+    for seed in (0, 3):
+        spec = SubspaceSpec(ambient, dims, populations, seed=seed)
+        assert_pinned(gen_union_subspaces, hstack_subspaces, spec)
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 1), (1, 300), (250, 2), (5000, 50)])
+def test_arc_clusters_are_bitwise_the_row_stack(n1, n2):
+    for seed in (0, 3):
+        spec = ArcSpec(tau1=1.2, tau2=0.6, n1=n1, n2=n2, seed=seed)
+        assert_pinned(gen_arc_clusters, vstack_arcs, spec)
