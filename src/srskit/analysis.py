@@ -33,11 +33,11 @@ from .matrix import (
 )
 from .samplers import (
     SamplerSpec,
-    _spatial,
     as_matrix_with_norms,
     bind,
     sample_gaussian_directions,
     sampler_input,
+    spatial_selector,
 )
 from .synthgen import ArcSpec, gen_arc_clusters
 
@@ -166,7 +166,7 @@ def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
         raise ValueError(f"n={T} is more draws than an array can hold")
     order = np.argsort(labels.values, kind="stable") if by_cluster else slice(None)
     ids = labels.values[order]
-    select = _spatial(X[:, order], T, with_replacement=True)
+    select = spatial_selector(X[:, order], T, with_replacement=True)
     picks = select(lambda a, b: sample_gaussian_directions(b - a, X.shape[0], rng))
     return sum(np.bincount(ids[p], minlength=labels.n_clusters) for p in picks) / T
 

@@ -7,17 +7,12 @@ integer per line.  Lines starting with ``#`` are comments and skipped
 by every loader.
 
 Files are UTF-8 text; a line that is not is a ParseError naming it.
-Reading and writing stream line by line.  A matrix file is parsed by
-one ``np.loadtxt`` per line span, and a matrix formatted in row spans:
-one span when small, else one per worker (``samplers._workers``), the
-first by the calling process and each other by a forked child
-(``_Forks``) that sends its rows, or its lines, down a pipe.  The array
-and the bytes are those of one span; a bad line falls back to a line
-loop that names it.  Beyond the matrix, a child holds its own span's
-rows or text, and the calling process one line or row of text at a time.
-Every text output, report CSVs included, goes through ``write_lines``:
-the comment echo as '#' lines, then the lines, to a path or an open
-stream.
+Reading and writing stream line by line.  A large matrix file is parsed,
+and a large matrix formatted, in spans across forked children (see
+``_parallel``), with the array and the bytes of one span; a bad line
+falls back to a line loop that names it.  Every text output, report
+CSVs included, goes through ``write_lines``: the comment echo as '#'
+lines, then the lines, to a path or an open stream.
 """
 
 from __future__ import annotations
@@ -25,15 +20,13 @@ from __future__ import annotations
 import io as _stdio
 import itertools
 import os
-import signal
 import struct
-import time
-from contextlib import AbstractContextManager, closing, suppress
+from contextlib import closing
 from functools import partial
 
 import numpy as np
 
-from . import samplers
+from . import _parallel
 from .errors import ParseError, ShapeError
 from .matrix import ClusterLabels, SketchResult, as_matrix
 
@@ -112,14 +105,15 @@ def _data_lines(path, span=None):
 def save_csv(D: np.ndarray, path, comment: str | None = None) -> None:
     """Write a matrix in the no-header CSV format.
 
-    A large matrix is formatted in row spans (``_split``) of 2 rows and
-    about ``_SPAN_VALUES`` values or more, the first here and each other
-    in a forked child (``_csv_lines``); the bytes are the serial ones.
+    A large matrix is formatted in row spans of 2 rows and about
+    ``_SPAN_VALUES`` values or more (``_parallel.split``), the first here
+    and each other in a forked child; the bytes are the serial ones.
     """
     D = as_matrix(D)
-    k = _split(min(len(D) // 2, D.size // _SPAN_VALUES))
+    k = _parallel.split(min(len(D) // 2, D.size // _SPAN_VALUES))
     edges = [len(D) * i // k for i in range(k + 1)]
-    with _Forks(list(zip(edges[1:-1], edges[2:])), partial(_send_lines, D)) as kids:
+    spans = list(zip(edges[1:-1], edges[2:]))
+    with _parallel.Forks(spans, partial(_send_lines, D)) as kids:
         parts = itertools.zip_longest(zip(edges, edges[1:]), [None, *kids.pipes])
         lines = (line for (a, b), pipe in parts for line in _csv_lines(D[a:b], pipe))
         write_lines(path, lines, comment)
@@ -185,45 +179,15 @@ _SPAN_BYTES = 1 << 19
 _SPAN_VALUES = 1 << 14
 
 
-# seconds _split waits for the OS to stop counting a joined pool thread
-# (read at once, 1 count in 500 still held it)
-_SETTLE_S = 0.005
-
-
-def _threads() -> int:
-    """The threads this process runs as the OS counts them, native ones
-    (a BLAS pool, say) included; 0 where the OS does not tell."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
-
-
-def _split(parts: int) -> int:
-    """The spans to load or save in: ``parts`` or the workers
-    (``samplers._workers``), the fewer, if the process may fork, else 1.
-    It may when ``os.fork`` exists, OpenBLAS runs one thread and, with the
-    ``samplers._map_spans`` pool ended, the OS counts one thread: a child
-    forked from a threaded process can deadlock on a lock another held;
-    after ending a pool the count is read again for up to _SETTLE_S."""
-    k = min(samplers._workers(), parts)
-    if k < 2 or not hasattr(os, "fork") or samplers._blas_threads() > 1:
-        return 1
-    deadline = time.monotonic() + _SETTLE_S * samplers._end_pool()
-    while (n := _threads()) > 1 and time.monotonic() < deadline:
-        time.sleep(_SETTLE_S / 20)
-    return k if n == 1 else 1
-
-
 def _line_spans(path) -> list:
     """Offsets 0 = e0 < e1 < ... < ek, the file's size, of k spans of whole
-    lines, one per worker (``samplers._workers``) and at most one per
-    ``_SPAN_BYTES``, each but the first starting at the first line start
-    from i/k of the file on; [0, size] when the file is to be parsed in
-    one piece (see ``_split``)."""
+    lines, one per worker and at most one per ``_SPAN_BYTES``, each but
+    the first starting at the first line start from i/k of the file on;
+    [0, size] when the file is to be parsed in one piece (see
+    ``_parallel.split``)."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        k = _split(size // _SPAN_BYTES)
+        k = _parallel.split(size // _SPAN_BYTES)
         edges = [0]
         for i in range(1, k):
             # a line start is 0 or just after a LF, alone or in a CRLF
@@ -243,16 +207,16 @@ def _load_spans(path, edges: list) -> np.ndarray | None:
     its rows, down a pipe (``_send_rows``), read straight into the result.
     Beyond the result, each process holds at most the rows of its own
     span.  None, once every child is reaped, on any irregularity: a bad
-    line, a span with no data, widths that differ, a non-finite value, or
-    a failed fork, pipe or child."""
+    line, a span with no data, widths that differ, a non-finite value (the
+    result's one check, ``as_matrix``), or a failed fork, pipe or child."""
     spans = list(zip(edges[1:-1], edges[2:]))
     try:
-        with _Forks(spans, partial(_send_rows, path)) as kids:
+        with _parallel.Forks(spans, partial(_send_rows, path)) as kids:
             if len(kids.pipes) < len(spans):
                 return None
             first = _span_rows(path, (0, edges[1]))
             if not spans:
-                return first
+                return as_matrix(first)
             shapes = [first.shape]
             for pipe in kids.pipes:
                 head = pipe.read(16)
@@ -270,62 +234,9 @@ def _load_spans(path, edges: list) -> np.ndarray | None:
                 if pipe.readinto(view) < len(view):
                     return None
                 at += rows
-            return D if kids.reaped() else None
-    except (ParseError, ValueError, OSError):
+            return as_matrix(D) if kids.reaped() else None
+    except (ParseError, ShapeError, ValueError, OSError):
         return None
-
-
-class _Forks(AbstractContextManager):
-    """A child forked per span runs ``child(out, span)``, ``out`` writing
-    to a pipe of its own, and leaves through ``os._exit``, 0 once ``child``
-    returns, so it runs none of its caller's code and flushes no inherited
-    buffer.  ``pipes`` holds the read ends in span order, fewer if a pipe
-    or fork fails.  Leaving the ``with`` block kills and reaps every child
-    not yet reaped and closes the pipes."""
-
-    def __init__(self, spans, child):
-        self.pipes, self.pids = [], []
-        for span in spans:
-            fds = ()
-            try:
-                fds = os.pipe()
-                pid = os.fork()
-            except OSError:
-                for fd in fds:
-                    os.close(fd)
-                break
-            if pid == 0:
-                status = 1
-                try:
-                    # left open on a failure until the exit, so a parent
-                    # that sees the pipe end reaps the exit status
-                    out = open(fds[1], "wb")
-                    child(out, span)
-                    out.close()
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(fds[1])
-            self.pids.append(pid)
-            self.pipes.append(open(fds[0], "rb"))
-
-    def reaped(self) -> bool:
-        """Wait for every child, each done sending; whether all exited 0."""
-        ok = True
-        while self.pids:
-            ok &= os.waitpid(self.pids[0], 0)[1] == 0
-            del self.pids[0]
-        return ok
-
-    def __exit__(self, *exc):
-        # children are left only when this process raised or a load gave
-        # up; one may be gone already if SIGCHLD is ignored
-        for pid in self.pids:
-            with suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for pipe in self.pipes:
-            pipe.close()
 
 
 def _send_rows(path, out, span) -> None:
@@ -338,16 +249,13 @@ def _send_rows(path, out, span) -> None:
 
 def _span_rows(path, span) -> np.ndarray:
     """The rows of a line span, parsed by one ``np.loadtxt``; ValueError
-    when it has no data line or a value that is not finite."""
+    when it has no data line."""
     with closing(_data_lines(path, span)) as numbered:
         first = next(numbered, None)
         if first is None:  # loadtxt only warns on an empty input
             raise ValueError("no data line")
         texts = (text for _, text in itertools.chain([first], numbered))
-        D = np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
-    if not np.isfinite(D).all():
-        raise ValueError("a non-finite value")
-    return D
+        return np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 
 
 def _parse_rows(numbered) -> np.ndarray:

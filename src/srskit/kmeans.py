@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, _parallel
 from .errors import TooManySamplesError
 from .matrix import ClusterLabels, as_matrix
-from .samplers import _TILE_BYTES
 
 
 def check_kmeans_args(n2: int, k: int, restarts: int, max_iters: int):
@@ -42,7 +41,7 @@ def kmeans(
     check_kmeans_args(n2, k, restarts, max_iters)
     points = np.ascontiguousarray(D.T)
     # a group's (group k, max(n, d)) scores and centers fit one tile
-    group = max(1, _TILE_BYTES // (8 * k * max(points.shape)))
+    group = max(1, _parallel.TILE_BYTES // (8 * k * max(points.shape)))
     best_centers = None
     best_inertia = np.inf
     for s in range(0, restarts, group):

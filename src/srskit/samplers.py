@@ -6,15 +6,11 @@ product along that direction.  That product is summed in float64 in a
 fixed order, so a pick depends on the data and the directions alone; a
 fast screen of |Phi . X|, computed and reduced in cache-sized tiles,
 decides which columns need the exact sum.  The data is checked once, in
-one pass over it, and bound once to the one selector, ``_spatial``, which
-takes its directions a row group at a time.  Each
-direction picks its column independently, so the large passes over X
-(its check, its float32 copy, the screen and the rows screened again)
-are split into contiguous spans of whole tiles, one per worker thread,
-with unchanged picks (``_map_spans``).  There are cpus // blas_threads
-workers: the CPUs the process may run on, over the threads OpenBLAS runs
-a GEMM on.  Data whose float32 copy fits in one tile, or one worker,
-runs on the calling thread alone.
+one pass over it, and bound once to the one selector, ``spatial_selector``,
+which takes its directions a row group at a time.  Each direction picks
+its column independently, so the large passes over X (its check, its
+float32 copy, the screen and the rows screened again) are split across
+workers with unchanged picks (see ``_parallel``).
 Baselines cover uniform index sampling, norm-proportional sampling,
 leverage-score sampling, and adaptive residual (volume) sampling.
 
@@ -31,14 +27,12 @@ as ``default_rng(master_seed + trial_index)``.
 from __future__ import annotations
 
 import dataclasses
-import os
-import threading
 from dataclasses import dataclass
 from functools import partial, reduce
 
 import numpy as np
 
-from . import matrix
+from . import _parallel, matrix
 from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax
 from .errors import (
     RankDeficientKError,
@@ -73,98 +67,20 @@ _SAMPLERS = {
 
 METHODS = tuple(_SAMPLERS)
 
-# tiles of the |Phi . X| screen: each is computed into one reused buffer
-# and reduced while it is still in cache.  The budget is as many bytes as
-# the screen's copy of X, within [_TILE_BYTES / 2, _TILE_BYTES]: on
-# 100 x 50,000 data (2 MiB of L2 cache per core, 1 BLAS thread) tiles of
-# 4 MiB took 1.4 times as long as tiles of 2 MiB, and the floor keeps the
-# tile count, and the per-tile overhead, low on small data.  A tile spans
-# every column when _MIN_FULL_ROWS rows fit: each GEMM packs X once, and
-# fewer rows leave that unamortized (at 8 x 200,000, 8-row blocks took 1.3
-# times as long as 16-row ones, 1 BLAS thread).  Otherwise it spans up to
-# _MAX_TILE_ROWS rows and as many columns as fit.
-_TILE_BYTES = 2 << 20
+# tiles of the |Phi . X| screen, each computed into one reused buffer and
+# reduced while it is still in cache: as many bytes as the screen's copy
+# of X, within [_parallel.TILE_BYTES / 2, _parallel.TILE_BYTES]; the
+# floor keeps the tile count, and the per-tile overhead, low on small
+# data.  A tile spans every column when _MIN_FULL_ROWS rows fit: each GEMM
+# packs X once, and fewer rows leave that unamortized (at 8 x 200,000,
+# 8-row blocks took 1.3 times as long as 16-row ones, 1 BLAS thread).
+# Otherwise it spans up to _MAX_TILE_ROWS rows and as many columns as fit.
 _MIN_FULL_ROWS = 16
 _MAX_TILE_ROWS = 512
 # ambient dimension N1 from which the screen GEMM runs in float32; at
 # N1 = 2 and 20,000 columns a float32 screen left every row with
 # near-tied candidates to settle, and took twice the float64 time
 _FLOAT32_MIN_N1 = 4
-# the threads of _map_spans, made on its first split, and their names' prefix
-_pool = None
-_POOL_NAME = "srskit-span"
-
-
-def _cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    """The threads OpenBLAS runs a GEMM on: the first positive integer in
-    OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, else every CPU, as OpenBLAS
-    does."""
-    values = (os.environ.get(v, "") for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
-    return next((int(v) for v in values if v.strip().isdigit() and int(v) > 0), _cpus())
-
-
-def _workers() -> int:
-    """Workers a pass over X, the parse of a large matrix file
-    (``io.load_csv``) or the formatting of a large matrix (``io.save_csv``)
-    is split across: the CPUs over the BLAS threads, at least one.  On 2
-    CPUs with OpenBLAS on both, two workers made selection slower: 85
-    against 79 ms, the medians of six alternating runs (srs, n=400 on
-    100 x 50,000)."""
-    return max(1, _cpus() // _blas_threads())
-
-
-def _forget_pool():
-    global _pool
-    _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    # a child forked later has none of the pool's threads
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _end_pool() -> bool:
-    """End the ``_map_spans`` pool's threads, so the process can fork,
-    unless a thread outside it runs (it may be in a split); whether it did."""
-    others = set(threading.enumerate()) - {threading.current_thread()}
-    if _pool is None or not all(t.name.startswith(_POOL_NAME) for t in others):
-        return False
-    _pool.shutdown()
-    _forget_pool()
-    return True
-
-
-def _map_spans(fn, X: np.ndarray, cols: int) -> list:
-    """``[fn(a, b)]`` over contiguous column spans [a, b) of ``X``, in order.
-
-    The spans are whole tiles of ``cols`` columns, at most one per worker
-    (``_workers``).  The first runs on the calling thread and the others on
-    a pool of threads: numpy's GEMMs and reductions release the GIL.  With
-    one worker, or data whose float32 copy fits in one tile (at most
-    ``_TILE_BYTES``), ``fn(0, N2)`` runs inline.  ``fn`` must not print,
-    start a process or call a sampler by its module name: a tracer that
-    rebinds those names keeps one span stack, for the calling thread.
-    """
-    n2 = X.shape[1]
-    tiles = -(-n2 // cols)
-    k = 1 if 4 * X.size <= _TILE_BYTES else min(_workers(), tiles)
-    if k == 1:
-        return [fn(0, n2)]
-    global _pool
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(thread_name_prefix=_POOL_NAME)
-    edges = [min(n2, cols * (tiles * i // k)) for i in range(k + 1)]
-    rest = [_pool.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-    return [fn(edges[0], edges[1])] + [f.result() for f in rest]
 
 
 @dataclass(frozen=True)
@@ -206,9 +122,10 @@ def _gamma(k: int, u: float) -> float:
 
 def _tile_shape(Xs: np.ndarray, n: int) -> tuple[int, int]:
     """Rows and columns of a screen tile, for ``n`` directions and the
-    screen's copy ``Xs`` of X (see ``_TILE_BYTES``)."""
+    screen's copy ``Xs`` of X (see ``_parallel.TILE_BYTES``)."""
     n2 = Xs.shape[1]
-    budget = max(_TILE_BYTES // 2, min(_TILE_BYTES, Xs.nbytes)) // Xs.itemsize
+    tile = _parallel.TILE_BYTES
+    budget = max(tile // 2, min(tile, Xs.nbytes)) // Xs.itemsize
     if budget // n2 >= _MIN_FULL_ROWS:
         return min(budget // n2, n), n2
     rows = min(_MAX_TILE_ROWS, n)
@@ -261,7 +178,7 @@ def _top_two(phi_c: np.ndarray, Xs: np.ndarray, cols: int):
             tile(_abs_product(phi_c, Xs[:, c : c + cols], buf), c)
             for c in range(a, b, cols)))
 
-    return reduce(_lead, _map_spans(span, Xs, cols))
+    return reduce(_lead, _parallel.map_spans(span, Xs, cols))
 
 
 def _settle(best, need, taken, screen, batch, tol, score):
@@ -311,7 +228,7 @@ def _settle(best, need, taken, screen, batch, tol, score):
     return best
 
 
-def _spatial(X: np.ndarray, n: int, with_replacement: bool):
+def spatial_selector(X: np.ndarray, n: int, with_replacement: bool):
     """The selector of ``n`` directions on ``X``, checked: float64 unit
     columns, at least ``n`` of them without replacement.  The steps that
     need no random numbers run here, once: the screen's float32 copy of X,
@@ -327,7 +244,7 @@ def _spatial(X: np.ndarray, n: int, with_replacement: bool):
     dtype = Xs.dtype
     rows, cols = _tile_shape(Xs, n)
     if Xs is not X:
-        _map_spans(lambda a, b: np.copyto(Xs[:, a:b], X[:, a:b]), Xs, cols)
+        _parallel.map_spans(lambda a, b: np.copyto(Xs[:, a:b], X[:, a:b]), Xs, cols)
     u64 = np.finfo(np.float64).eps / 2
     # Higham (Accuracy and Stability of Numerical Algorithms, 3.1): the
     # screen's two casts and its sum round by at most gamma_{N1+2}(u) and
@@ -373,7 +290,7 @@ def _spatial(X: np.ndarray, n: int, with_replacement: bool):
             def screen(r):
                 # whole rows, each worker filling its span of them
                 q = np.zeros((r.size, n2), dtype)
-                _map_spans(lambda a, b: _abs_product(
+                _parallel.map_spans(lambda a, b: _abs_product(
                     phi_c[r], Xs[:, a:b], q[:, a:b]), Xs, cols)
                 return q
 
@@ -391,9 +308,9 @@ def _picks(select, directions) -> np.ndarray:
 
 def as_matrix_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
     """``checked_with_norms(values)``, its norm pass split across workers
-    (see ``_map_spans``)."""
+    (see ``_parallel.map_spans``)."""
     return checked_with_norms(values, lambda arr: np.concatenate(
-        _map_spans(lambda a, b: column_norms(arr[:, a:b]), arr, 1)))
+        _parallel.map_spans(lambda a, b: column_norms(arr[:, a:b]), arr, 1)))
 
 
 def srs_select_indices(
@@ -412,9 +329,9 @@ def srs_select_indices(
     candidate, or whose pick an earlier row took, are screened again,
     whole, in batches of at most ``_MIN_FULL_ROWS`` rows and 8 tiles (but
     at least one row).  Selection holds one tile of at most
-    ``_TILE_BYTES`` per worker (see ``_map_spans``) or one such batch at a
-    time, never the dense n x N2 matrix, plus a float32 copy of X when it
-    has ``_FLOAT32_MIN_N1`` rows or more.  X is checked in one pass over it.
+    ``_parallel.TILE_BYTES`` per worker or one such batch at a time, never
+    the dense n x N2 matrix, plus a float32 copy of X when it has
+    ``_FLOAT32_MIN_N1`` rows or more.  X is checked in one pass over it.
     """
     X, norms = as_matrix_with_norms(X)
     phi = as_matrix(phi)
@@ -428,7 +345,7 @@ def srs_select_indices(
         raise TooManySamplesError(
             f"requested {n} distinct columns from {X.shape[1]}"
         )
-    return _picks(_spatial(X, n, with_replacement), lambda a, b: phi[a:b])
+    return _picks(spatial_selector(X, n, with_replacement), lambda a, b: phi[a:b])
 
 
 def _sketch(M, idx, method, with_replacement):
@@ -459,7 +376,7 @@ def _checked(D: np.ndarray, n: int, distinct: bool):
 def _bind_srs(X: np.ndarray, n: int, with_replacement: bool):
     X = check_unit_columns(*_checked(X, n, distinct=not with_replacement))
     method = "srs_repl" if with_replacement else "srs"
-    select = _spatial(X, n, with_replacement)
+    select = spatial_selector(X, n, with_replacement)
 
     def draw(rng):
         idx = _picks(select, lambda a, b: sample_gaussian_directions(
@@ -516,7 +433,7 @@ def _bind_volume(D: np.ndarray, n: int):
     N1, n2 = D.shape
     tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
     sq = np.einsum("ij,ij->j", D, D)
-    cols = max(1, _TILE_BYTES // (8 * N1))
+    cols = max(1, _parallel.TILE_BYTES // (8 * N1))
     # an update rounds res_sq[j] by about u (res_sq[j] + |b . d_j| ||d_j||):
     # the GEMV, b's departure from orthogonality, and the subtraction
     u = 4.0 * N1 * np.finfo(np.float64).eps

@@ -33,7 +33,7 @@ from srskit import (
     rank_curve,
     report_values,
 )
-from srskit import METHODS, samplers
+from srskit import METHODS, _parallel, samplers
 from srskit.analysis import _trials, lemma_empirical
 from srskit.errors import TooManySamplesError, ZeroColumnError
 from srskit.samplers import sample_columns, sampler_input
@@ -91,7 +91,7 @@ def test_srs_trial_loop_copies_its_screen_once(monkeypatch):
     X = normalize_columns(rng.standard_normal((8, 60)))
     labels = ClusterLabels(rng.integers(0, 3, 60), 3)
     copies, shapes = [], []
-    map_spans, tile_shape = samplers._map_spans, samplers._tile_shape
+    map_spans, tile_shape = _parallel.map_spans, samplers._tile_shape
 
     def counted_map(fn, M, cols):
         # with whole rows in one tile, the copy is the one pass over a
@@ -104,7 +104,7 @@ def test_srs_trial_loop_copies_its_screen_once(monkeypatch):
         shapes.append(Xs.shape)
         return tile_shape(Xs, n)
 
-    monkeypatch.setattr(samplers, "_map_spans", counted_map)
+    monkeypatch.setattr(_parallel, "map_spans", counted_map)
     monkeypatch.setattr(samplers, "_tile_shape", counted_shape)
     specs = [SamplerSpec(method=m, n=1) for m in ("srs", "srs_repl")]
     rep = coverage_experiment(X, labels, specs, n=10, trials=5, master_seed=19)

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from srskit import io, samplers
+from srskit import _parallel, io
 from srskit import (
     ClusterLabels,
     ParseError,
@@ -288,10 +288,10 @@ def forced_split(workers):
     more; yields a record of the forks they make (``forks``) and of whether
     each load split into two spans or more gave the array (``splits``,
     False where it fell back).
-    The program ends the threads of an earlier ``_map_spans`` split itself;
+    The program ends the threads of an earlier ``_parallel.map_spans`` split itself;
     a process running native threads (a BLAS pool, say) would not fork, so
     there the test is skipped."""
-    threads = io._threads
+    threads = _parallel.threads
 
     def settled(wait=5.0):
         # a thread just joined may stay in the OS's count for a moment
@@ -318,9 +318,9 @@ def forced_split(workers):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(io, "_SPAN_BYTES", 1)
         mp.setattr(io, "_SPAN_VALUES", 1)
-        mp.setattr(io, "_threads", settled)
-        mp.setattr(samplers, "_workers", lambda: workers)
-        mp.setattr(samplers, "_blas_threads", lambda: 1)
+        mp.setattr(_parallel, "threads", settled)
+        mp.setattr(_parallel, "workers", lambda: workers)
+        mp.setattr(_parallel, "blas_threads", lambda: 1)
         mp.setattr(os, "fork", counted)
         mp.setattr(io, "_load_spans", recorded)
         yield run
@@ -467,11 +467,11 @@ def test_split_load_needs_a_process_with_one_thread(tmp_path):
     save_csv(D, path)
     with forced_split(2) as run:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samplers, "_blas_threads", lambda: 2)
+            mp.setattr(_parallel, "blas_threads", lambda: 2)
             got = load_csv(path)
         # a native thread, one Python does not know of
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "_threads", lambda: 2)
+            mp.setattr(_parallel, "threads", lambda: 2)
             assert load_csv(path).tobytes() == got.tobytes()
     assert run.forks == [] and run.splits == []
 
@@ -626,11 +626,11 @@ def test_split_save_needs_a_process_with_one_thread(tmp_path):
     D = np.arange(12.0).reshape(6, 2)
     with forced_split(2) as run:
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(samplers, "_blas_threads", lambda: 2)
+            mp.setattr(_parallel, "blas_threads", lambda: 2)
             assert save_text(D, True, tmp_path) == serial_csv(D)
         # a native thread, one Python does not know of
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(io, "_threads", lambda: 2)
+            mp.setattr(_parallel, "threads", lambda: 2)
             assert save_text(D, True, tmp_path) == serial_csv(D)
     assert run.forks == []
 
@@ -657,10 +657,10 @@ def test_split_after_a_split_selection_pass(tmp_path):
         for call in (lambda: load_csv(path).tobytes() == D.tobytes(),
                      lambda: save_text(D, False, tmp_path) == serial_csv(D)):
             forks = len(run.forks)
-            assert len(samplers._map_spans(lambda a, b: (a, b), X, 1000)) == 2
+            assert len(_parallel.map_spans(lambda a, b: (a, b), X, 1000)) == 2
             assert threading.active_count() > 1
             assert call()
-            assert len(run.forks) == forks + 1 and samplers._pool is None
+            assert len(run.forks) == forks + 1 and _parallel.pool is None
             assert threading.active_count() == 1
     assert run.splits == [True]
     assert no_child_left()
@@ -675,20 +675,20 @@ def test_split_reads_the_thread_count_again_after_ending_the_pool(tmp_path):
     save_csv(D, path)
     X = np.zeros((8, 80_000))
     with forced_split(2) as run, pytest.MonkeyPatch.context() as mp:
-        settled, reads = io._threads, []
+        settled, reads = _parallel.threads, []
 
         def lagging():
             reads.append(1)
             return 2 if len(reads) <= 2 else settled()
 
-        mp.setattr(io, "_threads", lagging)
-        mp.setattr(io, "_SETTLE_S", 1.0)  # room for a slow host's sleeps
-        assert len(samplers._map_spans(lambda a, b: (a, b), X, 1000)) == 2
+        mp.setattr(_parallel, "threads", lagging)
+        mp.setattr(_parallel, "SETTLE_S", 1.0)  # room for a slow host's sleeps
+        assert len(_parallel.map_spans(lambda a, b: (a, b), X, 1000)) == 2
         assert load_csv(path).tobytes() == D.tobytes()
-        assert samplers._pool is None and len(reads) == 3
+        assert _parallel.pool is None and len(reads) == 3
         assert run.forks == [1] and run.splits == [True]
         reads.clear()
-        mp.setattr(io, "_threads", lambda: reads.append(1) or 2)
+        mp.setattr(_parallel, "threads", lambda: reads.append(1) or 2)
         assert load_csv(path).tobytes() == D.tobytes()
         assert reads == [1] and run.forks == [1]
     assert no_child_left()
@@ -743,6 +743,24 @@ def test_a_failed_child_is_reaped_not_killed(tmp_path, monkeypatch):
     assert no_child_left()
 
 
+def test_a_split_save_reaps_its_children(tmp_path, monkeypatch):
+    # each child sends its lines and then exits slowly: the save waits for
+    # every exit status, 0, instead of killing the children on leaving
+    D = np.arange(12.0).reshape(6, 2)
+    exit_ = os._exit
+
+    def slow_exit(status):
+        time.sleep(0.2)
+        exit_(status)
+
+    monkeypatch.setattr(os, "_exit", slow_exit)
+    codes = exit_codes(monkeypatch)
+    with forced_split(3) as run:
+        assert save_text(D, True, tmp_path) == serial_csv(D)
+    assert len(run.forks) == 2 and codes == [0, 0]
+    assert no_child_left()
+
+
 def test_a_thread_outside_the_pool_keeps_it(tmp_path):
     # that thread may be in a split, using the pool; and with it running
     # the process may not fork anyway
@@ -751,11 +769,11 @@ def test_a_thread_outside_the_pool_keeps_it(tmp_path):
     done = threading.Event()
     other = threading.Thread(target=done.wait, args=(30,))
     with forced_split(2) as run:
-        assert len(samplers._map_spans(lambda a, b: (a, b), X, 1000)) == 2
+        assert len(_parallel.map_spans(lambda a, b: (a, b), X, 1000)) == 2
         other.start()
         try:
             assert save_text(D, False, tmp_path) == serial_csv(D)
-            assert samplers._pool is not None
+            assert _parallel.pool is not None
         finally:
             done.set()
             other.join(30)
@@ -765,10 +783,10 @@ def test_a_thread_outside_the_pool_keeps_it(tmp_path):
 SAVE_SCRIPT = """
 import os, sys
 import numpy as np
-from srskit import io, samplers
+from srskit import _parallel, io
 io._SPAN_VALUES = 1
-samplers._workers = lambda: 2
-samplers._blas_threads = lambda: 1
+_parallel.workers = lambda: 2
+_parallel.blas_threads = lambda: 1
 forks, fork = [], os.fork
 os.fork = lambda: forks.append(1) or fork()
 # block-buffered, even under PYTHONUNBUFFERED
@@ -788,7 +806,7 @@ def test_split_save_children_leave_stdout_alone(tmp_path):
     out = tmp_path / "m.csv"
     run = subprocess.run([sys.executable, "-c", SAVE_SCRIPT, str(out)], env=env,
                          check=True, capture_output=True, text=True, timeout=120)
-    if run.stdout == "unflushed text\nmarker 0\n" and io._threads() == 0:
+    if run.stdout == "unflushed text\nmarker 0\n" and _parallel.threads() == 0:
         pytest.skip("the OS does not count threads, so save_csv does not fork")
     assert run.stdout == "unflushed text\nmarker 1\n"
     assert out.read_text() == serial_csv(np.arange(12.0).reshape(6, 2))

@@ -1,9 +1,7 @@
-import sys
-
 import numpy as np
 import pytest
 
-from srskit import _kernels
+from srskit import _kernels, _parallel
 from srskit import (
     ClusterLabels,
     assign_to_columns,
@@ -200,7 +198,7 @@ def test_restart_group_size_does_not_change_results(monkeypatch, budget):
     D = blobs(rng, rng.standard_normal((3, 4)) * 2.0, per=20)
     want_rng, got_rng = np.random.default_rng(10), np.random.default_rng(10)
     want = kmeans(D, 3, want_rng, restarts=7)
-    monkeypatch.setattr(sys.modules["srskit.kmeans"], "_TILE_BYTES", budget)
+    monkeypatch.setattr(_parallel, "TILE_BYTES", budget)
     got = kmeans(D, 3, got_rng, restarts=7)
     assert got.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -210,4 +208,4 @@ def test_lockstep_memory_is_bounded_by_groups(traced_peak):
     D = np.random.default_rng(11).standard_normal((100, 2000))
     _, peak = traced_peak(
         kmeans, D, 8, np.random.default_rng(12), max_iters=2, restarts=200)
-    assert peak < D.nbytes + 2 * sys.modules["srskit.kmeans"]._TILE_BYTES
+    assert peak < D.nbytes + 2 * _parallel.TILE_BYTES

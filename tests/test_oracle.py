@@ -1,13 +1,15 @@
-"""An exact oracle for spatial sampling in two dimensions.
+"""An exact oracle for spatial sampling in two and three dimensions.
 
 A direction at angle psi picks the column whose angle is nearest psi
 modulo pi.  So on the projective circle (angles modulo pi) each column
 owns half of the gap to each of its neighbours, and a uniform direction
-picks it with probability that arc over pi.  These tests hold the
-samplers and estimators to those exact probabilities of the given data,
-which the asymptotic arc formula only approaches.  The bounds are
-|z| <= 5 per cluster and the 1e-6 upper quantile of chi^2, not fitted to
-these seeds.
+picks it with probability that arc over pi.  On the sphere S^2 a
+direction picks the column x_j for which +x_j or -x_j is the nearest of
+all the +-x_k: the spherical Voronoi cells of +x_j and -x_j, over 4 pi.
+These tests hold the samplers and estimators to those exact
+probabilities of the given data, which the asymptotic arc formula only
+approaches.  The bounds are |z| <= 5 per cluster and the 1e-6 upper
+quantile of chi^2, not fitted to these seeds.
 """
 
 import math
@@ -131,3 +133,52 @@ def test_asymptotic_formula_within_largest_gap_of_exact(arc):
         largest = max(largest, np.diff(posts).max())
     formula = (math.pi + arc.tau1 - arc.tau2) / (2 * math.pi)
     assert abs(formula - cluster_shares(D, labels)[0]) <= largest / math.pi
+
+
+def sphere_shares(X):
+    """Probability that a uniform direction picks each column of unit 3-D
+    ``X``: the areas of the Voronoi cells of +x_j and -x_j over 4 pi."""
+    spatial = pytest.importorskip("scipy.spatial")
+    n = X.shape[1]
+    areas = spatial.SphericalVoronoi(np.hstack([X, -X]).T).calculate_areas()
+    return (areas[:n] + areas[n:]) / (4 * math.pi)
+
+
+def sphere_clusters(rng, dense=24, sparse=6):
+    """``dense`` unit columns close about one direction and ``sparse``
+    spread about another 45 degrees off it, and their cluster ids."""
+    c0, c1 = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 1.0]) / math.sqrt(2)
+    X = np.hstack([c0[:, None] + 0.08 * rng.standard_normal((3, dense)),
+                   c1[:, None] + 0.4 * rng.standard_normal((3, sparse))])
+    return normalize_columns(X), np.repeat([0, 1], [dense, sparse])
+
+
+SPHERE_SETS = {
+    "7-random": (41, lambda rng: (normalize_columns(rng.standard_normal((3, 7))), None)),
+    "30-random": (42, lambda rng: (normalize_columns(rng.standard_normal((3, 30))), None)),
+    "24-dense+6-sparse": (43, sphere_clusters),
+}
+
+
+@pytest.mark.parametrize("name", SPHERE_SETS)
+def test_srs_repl_column_frequencies_match_spherical_voronoi_areas(name):
+    stats = pytest.importorskip("scipy.stats")
+    seed, make = SPHERE_SETS[name]
+    X, labels = make(np.random.default_rng(seed))
+    share = sphere_shares(X)
+    assert math.isclose(share.sum(), 1.0, rel_tol=1e-12)
+    expected = T * share
+    # the chi^2 approximation needs every expected count well above a few
+    assert expected.min() >= 5
+    picks = srs_with_replacement(X, T, np.random.default_rng(seed + 100)).indices
+    counts = np.bincount(picks, minlength=X.shape[1])
+    chi2 = float(((counts - expected) ** 2 / expected).sum())
+    assert chi2 < stats.chi2.isf(1e-6, X.shape[1] - 1)
+    if labels is not None:
+        # the paper's claim: a cluster is drawn by the area it covers, not
+        # by the columns it holds; here the two differ by far
+        area = np.bincount(labels, weights=share)
+        population = np.bincount(labels) / labels.size
+        assert population[0] > 2 * area[0] and area[1] > 2 * population[1]
+        freq = np.bincount(labels[picks], minlength=2) / T
+        assert np.abs(z_scores(freq, area, T)).max() <= Z_MAX

@@ -1,6 +1,8 @@
-"""The package namespace."""
+"""The package namespace and its module structure."""
 
+import ast
 import types
+from pathlib import Path
 
 import srskit
 
@@ -16,3 +18,80 @@ def test_star_import_binds_the_public_attributes_that_are_not_modules():
     assert "load_csv" in namespace and "SrskitError" in namespace
     # srskit.io is a submodule; bound, it would shadow the standard io
     assert isinstance(srskit.io, types.ModuleType) and "io" not in namespace
+
+
+# ---------------------------------------------------------------------------
+# the module structure, read from the sources with ast
+
+SRC = Path(srskit.__file__).resolve().parent
+TREES = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+         for path in sorted(SRC.glob("*.py"))}
+# what forks, starts threads or reads the thread, CPU and BLAS counts:
+# modules, attributes (``os.fork``), names and string constants
+PARALLEL_ONLY = {"threading", "signal", "concurrent.futures", "ThreadPoolExecutor",
+                 "fork", "register_at_fork", "sched_getaffinity", "cpu_count",
+                 "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "/proc/self/task"}
+
+
+def srskit_module_names(tree):
+    """The names ``tree`` binds to srskit modules (``from . import x``)."""
+    return {alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and not node.module
+            for alias in node.names if alias.name in TREES}
+
+
+def private_reads(tree):
+    """Each leading-underscore name of another srskit module that ``tree``
+    imports (``from .m import _x``) or reads (``m._x``), with its line."""
+    modules = srskit_module_names(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found += [(node.lineno, f"{node.module or ''}.{alias.name}")
+                      for alias in node.names
+                      if alias.name.startswith("_") and alias.name not in TREES]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr.startswith("_")
+              and not node.attr.startswith("__")):
+            found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+    return found
+
+
+def parallel_uses(tree):
+    """Each use in ``tree`` of a name in PARALLEL_ONLY, with its line;
+    docstrings do not count."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node) is not None}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+            names = [node.value]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names if name in PARALLEL_ONLY]
+    return found
+
+
+def test_no_module_reads_the_private_names_of_another():
+    # private modules (``_kernels``, ``_parallel``) may be imported: the
+    # names in them without a leading underscore are their interface
+    found = {name: private_reads(tree) for name, tree in TREES.items()}
+    assert {name: reads for name, reads in found.items() if reads} == {}
+
+
+def test_only_the_parallel_module_forks_or_starts_threads():
+    found = {name: parallel_uses(tree) for name, tree in TREES.items()}
+    here = {use for _, use in found.pop("_parallel", [])}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+    # the guard sees each of them where they belong
+    assert here == PARALLEL_ONLY

@@ -28,6 +28,7 @@ from srskit import (
     NotNormalizedError,
     ShapeError,
     TooManySamplesError,
+    _parallel,
     estimate_region_areas,
     gen_arc_clusters,
     normalize_columns,
@@ -382,7 +383,7 @@ def selection_bytes(n1, n2, workers=1):
     itemsize = screen_itemsize(n1)
     copy = 4 * n1 * n2 if itemsize == 4 else 0
     batch = samplers._MIN_FULL_ROWS * itemsize * n2
-    return workers * samplers._TILE_BYTES + batch + copy + (1 << 20)
+    return workers * _parallel.TILE_BYTES + batch + copy + (1 << 20)
 
 
 def test_selection_memory_is_one_block(traced_peak):
@@ -406,10 +407,10 @@ def test_float32_selection_memory_is_one_block_and_one_copy(monkeypatch, traced_
     X = normalize_columns(rng.standard_normal((n1, n2)))
     phi = rng.standard_normal((n, n1))
     for workers in (1, 3):
-        monkeypatch.setattr(samplers, "_workers", lambda: workers)
+        monkeypatch.setattr(_parallel, "workers", lambda: workers)
         _, peak = traced_peak(srs_select_indices, X, phi)
         assert peak < selection_bytes(n1, n2, workers) < (
-            4 * n1 * n2 + (6 << 20) + (workers - 1) * samplers._TILE_BYTES)
+            4 * n1 * n2 + (6 << 20) + (workers - 1) * _parallel.TILE_BYTES)
 
 
 def _arc_pair():
@@ -429,7 +430,7 @@ def test_small_data_gets_small_blocks(monkeypatch, estimate, traced_peak):
     assert peak < 2 << 20
     # a budget that makes 16-column tiles of 512 rows, and one of 16 MiB
     for budget in [64 << 10, 32 << 20]:
-        monkeypatch.setattr(samplers, "_TILE_BYTES", budget)
+        monkeypatch.setattr(_parallel, "TILE_BYTES", budget)
         assert (estimate(D, labels, np.random.default_rng(3)) == got).all()
 
 
@@ -496,7 +497,7 @@ def test_bad_entry_and_bad_count_raise_in_order(caller, entry, n, error):
 THREADS_SCRIPT = """
 import sys
 import numpy as np
-from srskit import normalize_columns, samplers, srs_select_indices
+from srskit import _parallel, normalize_columns, samplers, srs_select_indices
 rng = np.random.default_rng(5)
 # 300 columns, each copied about 130 times: a GEMM rounds the copies of a
 # row's winner apart, differently as its threads split the columns, and
@@ -504,13 +505,13 @@ rng = np.random.default_rng(5)
 Y = normalize_columns(rng.standard_normal((32, 300)))
 X = Y[:, rng.integers(0, 300, 40_000)]
 phi = rng.standard_normal((200, 32))
-print(samplers._workers(), file=sys.stderr)
+print(_parallel.workers(), file=sys.stderr)
 for cut in (samplers._FLOAT32_MIN_N1, 1 << 20):
     samplers._FLOAT32_MIN_N1 = cut
     Xs = X.astype(np.float32) if cut < 32 else X
     # tiles of 200 rows and part of the columns, above the gate of a split
     assert samplers._tile_shape(Xs, 200)[1] < X.shape[1]
-    assert 4 * X.size > samplers._TILE_BYTES
+    assert 4 * X.size > _parallel.TILE_BYTES
     for with_replacement in (False, True):
         print(list(srs_select_indices(X, phi, with_replacement)))
 """
@@ -554,17 +555,17 @@ def test_worker_count_is_cpus_over_blas_threads(monkeypatch, openblas, omp, work
             monkeypatch.delenv(var, raising=False)
         else:
             monkeypatch.setenv(var, value)
-    assert samplers._workers() == workers
+    assert _parallel.workers() == workers
 
 
 def spans(monkeypatch, workers, n1, n2, cols):
-    monkeypatch.setattr(samplers, "_workers", lambda: workers)
-    return samplers._map_spans(
+    monkeypatch.setattr(_parallel, "workers", lambda: workers)
+    return _parallel.map_spans(
         lambda a, b: (a, b, threading.get_ident()), np.zeros((n1, n2)), cols)
 
 
 def test_spans_are_whole_tiles_one_per_worker(monkeypatch):
-    monkeypatch.setattr(samplers, "_TILE_BYTES", 1 << 10)
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 1 << 10)
     # 10 tiles of 7 columns, the last of 3: 3 spans of 3, 3 and 4 tiles
     got = spans(monkeypatch, 3, 4, 66, 7)
     assert [(a, b) for a, b, _ in got] == [(0, 21), (21, 42), (42, 66)]
@@ -581,8 +582,8 @@ def test_spans_are_whole_tiles_one_per_worker(monkeypatch):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_split_norms_are_the_serial_norms(monkeypatch, order, workers):
-    monkeypatch.setattr(samplers, "_TILE_BYTES", 1 << 10)
-    monkeypatch.setattr(samplers, "_workers", lambda: workers)
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 1 << 10)
+    monkeypatch.setattr(_parallel, "workers", lambda: workers)
     rng = np.random.default_rng(workers)
     X = rng.standard_normal((37, 501)) * rng.uniform(1e-3, 1e3, size=501)
     X = np.asarray(X, order=order)
@@ -605,14 +606,14 @@ def test_screen_reduction_does_not_depend_on_worker_count(
     # the spans are merged by the rule that merges tiles, so the screen's
     # argmax (ties to the lowest index, also between spans), maximum and
     # runner-up are those of the whole screen, whatever the worker count
-    monkeypatch.setattr(samplers, "_TILE_BYTES", 64 << 10)
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 64 << 10)
     rng = np.random.default_rng(2)
     X = copied_columns(40, rng) if copied else normalize_columns(
         rng.standard_normal((40, 6000)))
     Xs = X.astype(dtype)
     phi = rng.standard_normal((300, 40)).astype(dtype)
     cols = 54
-    assert 4 * Xs.size > samplers._TILE_BYTES
+    assert 4 * Xs.size > _parallel.TILE_BYTES
     # the screen, by the same GEMMs as its tiles
     screen = np.hstack([np.abs(phi @ Xs[:, c : c + cols])
                         for c in range(0, Xs.shape[1], cols)])
@@ -620,7 +621,7 @@ def test_screen_reduction_does_not_depend_on_worker_count(
     if copied:  # every row's maximum is tied
         assert (top2[:, 0] == top2[:, 1]).all()
     for workers in (1, 2, 3):
-        monkeypatch.setattr(samplers, "_workers", lambda: workers)
+        monkeypatch.setattr(_parallel, "workers", lambda: workers)
         best, top, second = samplers._top_two(phi, Xs, cols)
         assert (best == screen.argmax(axis=1)).all()
         assert top.dtype == second.dtype == dtype
@@ -633,21 +634,21 @@ def test_picks_do_not_depend_on_worker_count(monkeypatch, n1, with_replacement):
     # 40 columns, each copied about 150 times over the 6,000: every row's
     # winner has copies in every span, and the lowest free copy must win.
     # 64 KiB tiles: 112 tiles of 54 columns in float32, 223 of 27 in float64
-    monkeypatch.setattr(samplers, "_TILE_BYTES", 64 << 10)
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 64 << 10)
     rng = np.random.default_rng(n1)
     X = copied_columns(n1, rng)
     phi = rng.standard_normal((300, n1))
     want = canonical_picks(X, phi, with_replacement)
-    real, counts = samplers._map_spans, []
+    real, counts = _parallel.map_spans, []
 
     def counted(fn, X, cols):
         out = real(fn, X, cols)
         counts.append(len(out))
         return out
 
-    monkeypatch.setattr(samplers, "_map_spans", counted)
+    monkeypatch.setattr(_parallel, "map_spans", counted)
     for workers in (1, 2, 3):
-        monkeypatch.setattr(samplers, "_workers", lambda: workers)
+        monkeypatch.setattr(_parallel, "workers", lambda: workers)
         counts.clear()
         got = srs_select_indices(X, phi, with_replacement=with_replacement)
         assert (got == want).all(), workers
@@ -657,8 +658,8 @@ def test_picks_do_not_depend_on_worker_count(monkeypatch, n1, with_replacement):
 def test_a_forked_child_splits_on_threads_of_its_own(monkeypatch):
     # a child forked after a split inherits the pool but none of its
     # threads; a span handed to that pool would never run
-    monkeypatch.setattr(samplers, "_TILE_BYTES", 64 << 10)
-    monkeypatch.setattr(samplers, "_workers", lambda: 2)
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 64 << 10)
+    monkeypatch.setattr(_parallel, "workers", lambda: 2)
     rng = np.random.default_rng(4)
     X = normalize_columns(rng.standard_normal((40, 3000)))
     phi = rng.standard_normal((100, 40))
