@@ -1,20 +1,18 @@
 """Parallel work, in one place: the worker rule, the map over column
 spans on threads, the fork gate and the fork helper.
 
-A pass over X (``map_spans``) and the load or save of a large matrix CSV
-(``io``) are split across ``workers()``: the CPUs the process may run on
-over the threads OpenBLAS runs a GEMM on, at least one (with OpenBLAS on
-both of 2 CPUs, two workers made srs, n=400 on 100 x 50,000, slower: 85
-against 79 ms, medians of six alternating runs).  A load or save forks
-(``split``) only where ``os.fork`` exists, OpenBLAS runs one thread and
-the OS counts one thread, BLAS threads included: a child forked from a
-threaded process can deadlock on a lock another thread held.  The pool
-of ``map_spans`` is ended first, unless a thread outside it runs, and
-the count is then read again for up to ``SETTLE_S``, as the OS may list
-a joined thread for a moment.
+A pass over X (``map_spans``, whose threads end with the call) and the
+load or save of a large matrix CSV (``io``) are split across
+``workers()``: the CPUs the process may run on over the threads OpenBLAS
+runs a GEMM on, at least one (with OpenBLAS on both of 2 CPUs, two
+workers made srs, n=400 on 100 x 50,000, slower: 85 against 79 ms,
+medians of six alternating runs).  A load or save forks (``split``) only
+where ``os.fork`` exists, OpenBLAS runs one thread and the OS counts one
+thread, BLAS threads included: a child forked from a threaded process
+can deadlock on a lock another thread held.  While Python knows of no
+other thread, the count is read again for up to ``SETTLE_S``, as the OS
+may list a thread just joined for a moment.
 """
-
-from __future__ import annotations
 
 import os
 import signal
@@ -28,9 +26,6 @@ from contextlib import AbstractContextManager, suppress
 # thread) screen tiles of 4 MiB took 1.4 times as long as tiles of 2 MiB.
 TILE_BYTES = 2 << 20
 SETTLE_S = 0.005  # read at once, 1 count in 500 still held a joined thread
-# the threads of map_spans, made on its first split, and their names' prefix
-pool = None
-POOL_NAME = "srskit-span"
 
 
 def cpus() -> int:
@@ -53,58 +48,46 @@ def workers() -> int:
     return max(1, cpus() // blas_threads())
 
 
-def forget_pool():
-    global pool
-    pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    # a child forked later has none of the pool's threads
-    os.register_at_fork(after_in_child=forget_pool)
-
-
-def end_pool() -> bool:
-    """End the pool's threads, so the process can fork, unless a thread
-    outside it runs (it may be in a split); whether it did."""
-    others = set(threading.enumerate()) - {threading.current_thread()}
-    if pool is None or not all(t.name.startswith(POOL_NAME) for t in others):
-        return False
-    pool.shutdown()
-    forget_pool()
-    return True
-
-
 def map_spans(fn, X, cols: int) -> list:
     """``[fn(a, b)]`` over contiguous column spans [a, b) of ``X``, in order.
 
     The spans are whole tiles of ``cols`` columns, at most one per worker,
-    the first on the calling thread and the others on ``pool`` (numpy's
-    GEMMs and reductions release the GIL); with one worker, or data whose
-    float32 copy fits in ``TILE_BYTES``, ``fn(0, N2)`` runs inline.  ``fn``
-    must not print, start a process or call a sampler by its module name:
-    a tracer that rebinds those names keeps one span stack, for the
-    calling thread.
+    the first on the calling thread and each other on a thread joined
+    before this returns or raises the first span's exception (numpy's GEMMs
+    and reductions release the GIL); one span with one worker or data whose
+    float32 copy fits in ``TILE_BYTES``.  ``fn`` must not print, start a
+    process or call a sampler by its module name: a tracer that rebinds
+    those names keeps one span stack, for the calling thread.
     """
-    global pool
     n2 = X.shape[1]
     tiles = -(-n2 // cols)
     k = 1 if 4 * X.size <= TILE_BYTES else min(workers(), tiles)
-    if k == 1:
-        return [fn(0, n2)]
-    if pool is None:
-        # imported here, as a process that never splits need not pay its
-        # start-up cost (0.6 MB of peak RSS and 7 ms)
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(thread_name_prefix=POOL_NAME)
     edges = [min(n2, cols * (tiles * i // k)) for i in range(k + 1)]
-    rest = [pool.submit(fn, a, b) for a, b in zip(edges[1:-1], edges[2:])]
-    return [fn(edges[0], edges[1])] + [f.result() for f in rest]
+    out, failed = [None] * k, {}
+
+    def run(i):
+        try:
+            out[i] = fn(edges[i], edges[i + 1])
+        except BaseException as exc:  # raised again in the calling thread
+            failed[i] = exc
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, k)]
+    try:
+        for helper in helpers:
+            helper.start()
+        run(0)
+    finally:
+        for helper in helpers:
+            if helper.ident is not None:  # started
+                helper.join()
+    if failed:
+        raise failed[min(failed)]
+    return out
 
 
 def threads() -> int:
     """The threads this process runs as the OS counts them, native ones
-    (a BLAS pool, say) included; 0 where the OS does not tell."""
+    (the BLAS's, say) included; 0 where the OS does not tell."""
     try:
         return len(os.listdir("/proc/self/task"))
     except OSError:
@@ -117,7 +100,7 @@ def split(parts: int) -> int:
     k = min(workers(), parts)
     if k < 2 or not hasattr(os, "fork") or blas_threads() > 1:
         return 1
-    deadline = time.monotonic() + SETTLE_S * end_pool()
+    deadline = time.monotonic() + SETTLE_S * (threading.active_count() == 1)
     while (n := threads()) > 1 and time.monotonic() < deadline:
         time.sleep(SETTLE_S / 20)
     return k if n == 1 else 1

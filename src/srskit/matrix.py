@@ -66,6 +66,8 @@ class ClusterLabels:
             raise ShapeError("labels must be a 1-D integer vector")
         if self.n_clusters < 1:
             raise ShapeError("n_clusters must be >= 1")
+        if self.n_clusters > np.iinfo(np.intp).max // 8:  # an int64 count each
+            raise ShapeError(f"n_clusters={self.n_clusters} is too many to count")
         if vals.size and (vals.min() < 0 or vals.max() >= self.n_clusters):
             raise ShapeError(
                 f"label values must lie in 0..{self.n_clusters - 1}"

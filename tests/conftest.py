@@ -6,10 +6,12 @@ so the tests of the forked CSV load and save would skip.  One BLAS thread,
 unless the environment asks for more, lets them run.  Tests of more BLAS
 threads set their own environment in a subprocess.
 
-The ``traced_peak`` fixture measures the memory a call allocates.
+The ``traced_peak`` fixture measures the memory a call allocates, and
+every test fails that leaves running a thread it started.
 """
 
 import os
+import threading
 import tracemalloc
 
 import pytest
@@ -33,3 +35,15 @@ def traced_peak():
     """``traced_peak(fn, *args, **kwargs)`` is ``(fn(...), peak)``, the peak
     in bytes that ``tracemalloc`` traced above its base during the call."""
     return _traced_peak
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves running a thread it started; a thread about
+    to end gets a second to do so."""
+    before = set(threading.enumerate())
+    yield
+    left = [t for t in threading.enumerate() if t not in before]
+    for thread in left:
+        thread.join(1.0)
+    assert [t.name for t in left if t.is_alive()] == []

@@ -797,6 +797,21 @@ def test_eval_coverage_n_clusters_below_one_exits_one(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_clusters", [2**63, 2**62])
+def test_eval_coverage_n_clusters_past_any_array_exits_one(tmp_path, capsys,
+                                                          n_clusters):
+    # one int64 count per cluster: no array holds 2**62 of them
+    lab, idx, out = tmp_path / "L.csv", tmp_path / "I.csv", tmp_path / "c.csv"
+    lab.write_text("0\n1\n1\n")
+    idx.write_text("2\n0\n")
+    capsys.readouterr()
+    assert run("eval", "coverage", "--labels", lab, "--indices", idx,
+               "--n-clusters", n_clusters, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"ShapeError: n_clusters={n_clusters} is too many to count\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("estimator", ["srs", "directions", "both"])
 def test_exp_probability_draws_beyond_an_array_exits_one(tmp_path, capsys,
                                                          estimator):

@@ -288,8 +288,8 @@ def forced_split(workers):
     more; yields a record of the forks they make (``forks``) and of whether
     each load split into two spans or more gave the array (``splits``,
     False where it fell back).
-    The program ends the threads of an earlier ``_parallel.map_spans`` split itself;
-    a process running native threads (a BLAS pool, say) would not fork, so
+    An earlier ``_parallel.map_spans`` split leaves no thread running; a
+    process running native threads (a BLAS pool, say) would not fork, so
     there the test is skipped."""
     threads = _parallel.threads
 
@@ -647,8 +647,8 @@ def test_split_save_memory_is_one_row(tmp_path, traced_peak):
 
 
 def test_split_after_a_split_selection_pass(tmp_path):
-    # a split selection pass leaves its pool's threads running; a load or
-    # save that splits ends them, so that the process can fork
+    # a split selection pass joins its threads before it returns, so a
+    # load or save right after it can fork
     D = np.arange(12.0).reshape(6, 2)
     path = tmp_path / "m.csv"
     save_csv(D, path)
@@ -658,18 +658,18 @@ def test_split_after_a_split_selection_pass(tmp_path):
                      lambda: save_text(D, False, tmp_path) == serial_csv(D)):
             forks = len(run.forks)
             assert len(_parallel.map_spans(lambda a, b: (a, b), X, 1000)) == 2
-            assert threading.active_count() > 1
+            assert threading.active_count() == 1
             assert call()
-            assert len(run.forks) == forks + 1 and _parallel.pool is None
+            assert len(run.forks) == forks + 1
             assert threading.active_count() == 1
     assert run.splits == [True]
     assert no_child_left()
 
 
-def test_split_reads_the_thread_count_again_after_ending_the_pool(tmp_path):
-    # the OS may count a pool thread for a moment after it is joined: a
-    # load that ended the pool reads the count again until it reads 1, and
-    # one that ended none reads it once
+def test_split_reads_the_thread_count_again_while_python_runs_one_thread(tmp_path):
+    # the OS may count a thread for a moment after it is joined: a load in
+    # a process where Python knows of no other thread reads the count again
+    # until it reads 1, and loads in one piece if it never does
     D = np.arange(12.0).reshape(6, 2)
     path = tmp_path / "m.csv"
     save_csv(D, path)
@@ -685,12 +685,13 @@ def test_split_reads_the_thread_count_again_after_ending_the_pool(tmp_path):
         mp.setattr(_parallel, "SETTLE_S", 1.0)  # room for a slow host's sleeps
         assert len(_parallel.map_spans(lambda a, b: (a, b), X, 1000)) == 2
         assert load_csv(path).tobytes() == D.tobytes()
-        assert _parallel.pool is None and len(reads) == 3
+        assert len(reads) == 3
         assert run.forks == [1] and run.splits == [True]
         reads.clear()
         mp.setattr(_parallel, "threads", lambda: reads.append(1) or 2)
+        mp.setattr(_parallel, "SETTLE_S", 0.05)
         assert load_csv(path).tobytes() == D.tobytes()
-        assert reads == [1] and run.forks == [1]
+        assert len(reads) > 1 and run.forks == [1]
     assert no_child_left()
 
 
@@ -761,19 +762,21 @@ def test_a_split_save_reaps_its_children(tmp_path, monkeypatch):
     assert no_child_left()
 
 
-def test_a_thread_outside_the_pool_keeps_it(tmp_path):
-    # that thread may be in a split, using the pool; and with it running
-    # the process may not fork anyway
+def test_a_python_thread_keeps_the_process_from_forking(tmp_path):
+    # with a thread of its own running, the process may not fork: the
+    # count of OS threads is read once, with no wait for it to settle
     D = np.arange(12.0).reshape(6, 2)
     X = np.zeros((8, 80_000))
     done = threading.Event()
     other = threading.Thread(target=done.wait, args=(30,))
-    with forced_split(2) as run:
+    with forced_split(2) as run, pytest.MonkeyPatch.context() as mp:
         assert len(_parallel.map_spans(lambda a, b: (a, b), X, 1000)) == 2
+        threads, reads = _parallel.threads, []
+        mp.setattr(_parallel, "threads", lambda: reads.append(1) or threads())
         other.start()
         try:
             assert save_text(D, False, tmp_path) == serial_csv(D)
-            assert _parallel.pool is not None
+            assert reads == [1]
         finally:
             done.set()
             other.join(30)

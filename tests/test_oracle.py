@@ -19,6 +19,7 @@ import pytest
 
 from srskit import (
     ArcSpec,
+    ClusterLabels,
     empirical_sampling_probabilities,
     estimate_region_areas,
     gen_arc_clusters,
@@ -26,6 +27,7 @@ from srskit import (
     load_labels,
     load_report,
     normalize_columns,
+    srs_select_indices,
     srs_with_replacement,
 )
 from srskit.cli import main
@@ -54,8 +56,8 @@ def exact_shares(X):
 
 
 def cluster_shares(X, labels):
-    return np.bincount(labels.values, weights=exact_shares(X),
-                       minlength=labels.n_clusters)
+    share = exact_shares(X) if X.shape[0] == 2 else sphere_shares(X)
+    return np.bincount(labels.values, weights=share, minlength=labels.n_clusters)
 
 
 def z_scores(freq, p, draws):
@@ -182,3 +184,44 @@ def test_srs_repl_column_frequencies_match_spherical_voronoi_areas(name):
         assert population[0] > 2 * area[0] and area[1] > 2 * population[1]
         freq = np.bincount(labels[picks], minlength=2) / T
         assert np.abs(z_scores(freq, area, T)).max() <= Z_MAX
+
+
+@pytest.mark.parametrize("name", SPHERE_SETS)
+@pytest.mark.parametrize("estimate", [estimate_region_areas,
+                                      empirical_sampling_probabilities])
+def test_estimators_match_exact_cluster_shares_on_the_sphere(name, estimate):
+    seed, make = SPHERE_SETS[name]
+    X, ids = make(np.random.default_rng(seed))
+    if ids is None:  # three clusters of columns spread at random
+        ids = np.arange(X.shape[1]) % 3
+    labels = ClusterLabels(ids, int(ids.max()) + 1)
+    freq = estimate(X, labels, T, np.random.default_rng(seed + 200))
+    z = z_scores(freq, cluster_shares(X, labels), T)
+    assert np.abs(z).max() <= Z_MAX, z
+
+
+def chi_square(counts, p):
+    return float(((counts - counts.sum() * p) ** 2 / (counts.sum() * p)).sum())
+
+
+def test_srs_first_and_second_picks_match_spherical_voronoi_areas():
+    # without replacement the first pick follows the shares of all the
+    # columns, and the second, given the first, the shares of those left
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(44)
+    X = normalize_columns(rng.standard_normal((3, 7)))
+    draws = 8_000
+    pairs = np.array([srs_select_indices(X, rng.standard_normal((2, 3)))
+                      for _ in range(draws)])
+    counts = np.bincount(pairs[:, 0], minlength=7)
+    share = sphere_shares(X)
+    assert draws * share.min() >= 5
+    assert chi_square(counts, share) < stats.chi2.isf(1e-6, 6)
+    first = counts.argmax()
+    left = np.delete(np.arange(7), first)
+    second = pairs[pairs[:, 0] == first, 1]
+    assert not (second == first).any()
+    share = sphere_shares(X[:, left])
+    assert second.size * share.min() >= 5
+    counts = np.bincount(np.searchsorted(left, second), minlength=6)
+    assert chi_square(counts, share) < stats.chi2.isf(1e-6, 5)

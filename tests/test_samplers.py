@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -229,6 +231,53 @@ def test_volume_sampling_first_two_picks_follow_their_residuals():
     pairs = np.array([draw(rng).indices for _ in range(3_000)])
     counts = np.bincount(pairs[:, 0] * 5 + pairs[:, 1], minlength=25)
     assert chi_square_fits(counts, p.ravel())
+
+
+def residual_sq(C, B):
+    """The squared norms of the columns of ``C`` less their projections
+    on the span of ``B``'s columns."""
+    if B.shape[1]:
+        Q = np.linalg.qr(B)[0]
+        C = C - Q @ (Q.T @ C)
+    return np.einsum("ij,ij->j", C, C)
+
+
+def volume_sequence_probabilities(D, n):
+    """The probability of each ordered n-tuple of distinct columns: per
+    pick, the column's squared residual over the columns picked in this
+    pass over the sum of them all; once every residual is zero, a new pass
+    starts from the columns left."""
+    n2, tol_sq = D.shape[1], 1e-20 * np.einsum("ij,ij->", D, D)
+    p = np.zeros([n2] * n)
+    for seq in itertools.permutations(range(n2), n):
+        p[seq], basis = 1.0, []
+        for t, j in enumerate(seq):
+            left = [k for k in range(n2) if k not in seq[:t]]
+            res = residual_sq(D[:, left], D[:, basis])
+            if res.max() <= tol_sq:
+                basis, res = [], residual_sq(D[:, left], D[:, []])
+            p[seq] *= res[left.index(j)] / res.sum()
+            basis.append(j)
+    return p
+
+
+@pytest.mark.parametrize("rank, n2, n, draws", [(3, 5, 3, 5_000), (2, 4, 4, 2_000)])
+def test_volume_sampling_ordered_sequences_follow_their_residuals(rank, n2, n, draws):
+    # every ordered sequence of n picks, enumerated exactly; past the rank
+    # a second pass starts on the columns left
+    rng = np.random.default_rng(rank)
+    D = rng.standard_normal((3, rank)) @ rng.standard_normal((rank, n2))
+    p = volume_sequence_probabilities(D, n)
+    assert np.isclose(p.sum(), 1.0, rtol=0, atol=1e-12)
+    draw = samplers.bind(D, SamplerSpec(method="volume", n=n))
+    seqs = np.array([draw(rng).indices for _ in range(draws)])
+    counts = np.bincount(np.ravel_multi_index(seqs.T, p.shape), minlength=p.size)
+    p = p.ravel()
+    # the chi^2 approximation needs expected counts of a few or more: the
+    # sequences expected fewer than 5 times are pooled into one cell
+    rare = (p > 0) & (draws * p < 5)
+    assert chi_square_fits(np.append(counts[~rare], counts[rare].sum()),
+                           np.append(p[~rare], p[rare].sum()))
 
 
 def test_volume_sampling_distinct_and_spanning():

@@ -579,6 +579,35 @@ def test_spans_are_whole_tiles_one_per_worker(monkeypatch):
     assert spans(monkeypatch, 3, 4, 64, 7) == [(0, 64, threading.get_ident())]
 
 
+@pytest.mark.parametrize("raising", [(), (0,), (2,), (1, 2)],
+                         ids=["none", "caller", "helper", "two-helpers"])
+def test_map_spans_joins_its_threads_before_it_returns_or_raises(monkeypatch, raising):
+    # the spans in ``raising`` raise at once, span 0 on the calling thread
+    # and the others on helpers; any other span i ends after 0.03 i s, so
+    # the helpers' spans end last.  The exception of the first span that
+    # raises is raised again
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 1 << 10)
+    monkeypatch.setattr(_parallel, "workers", lambda: 3)
+    count, ran, done = threading.active_count(), [], []
+
+    def fn(a, b):
+        ran.append(threading.current_thread())
+        if a // 21 in raising:
+            raise RuntimeError(f"span {a // 21}")
+        time.sleep(0.03 * (a // 21))
+        done.append(a)
+        return a
+
+    if raising:
+        with pytest.raises(RuntimeError, match=f"span {raising[0]}"):
+            _parallel.map_spans(fn, np.zeros((4, 66)), 7)
+    else:
+        assert _parallel.map_spans(fn, np.zeros((4, 66)), 7) == [0, 21, 42]
+    assert threading.active_count() == count
+    assert len(ran) == 3 and len(done) == 3 - len(raising)
+    assert not any(t.is_alive() for t in ran if t is not threading.current_thread())
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_split_norms_are_the_serial_norms(monkeypatch, order, workers):
@@ -656,8 +685,8 @@ def test_picks_do_not_depend_on_worker_count(monkeypatch, n1, with_replacement):
 
 
 def test_a_forked_child_splits_on_threads_of_its_own(monkeypatch):
-    # a child forked after a split inherits the pool but none of its
-    # threads; a span handed to that pool would never run
+    # a child forked after a split inherits no thread of it; each of the
+    # child's own splits must start and join threads of its own
     monkeypatch.setattr(_parallel, "TILE_BYTES", 64 << 10)
     monkeypatch.setattr(_parallel, "workers", lambda: 2)
     rng = np.random.default_rng(4)
