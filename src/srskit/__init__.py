@@ -31,6 +31,7 @@ from .analysis import (
 from .embedding import KINDS, EmbeddingSpec, apply_embedding, build_embedding
 from .errors import (
     ArcOverlapError,
+    ArgumentError,
     BadArcLengthsError,
     BadBetaError,
     BadDimsError,

@@ -19,7 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadArcLengthsError, BadBetaError, BadParamsError, ParseError
+from .errors import (
+    ArgumentError,
+    BadArcLengthsError,
+    BadBetaError,
+    BadParamsError,
+    ParseError,
+    check_count,
+    check_seed,
+)
 from .io import numbered_lines, write_lines
 from .kmeans import balanced_centers_check, check_kmeans_args, kmeans
 from .matrix import (
@@ -35,6 +43,7 @@ from .samplers import (
     SamplerSpec,
     as_matrix_with_norms,
     bind,
+    check_draws,
     sample_gaussian_directions,
     sampler_input,
     spatial_selector,
@@ -149,6 +158,11 @@ def per_cluster_means(
 # region areas and sampling probabilities
 
 
+def _check_labels(labels: ClusterLabels, D: np.ndarray) -> None:
+    if len(labels) != D.shape[1]:
+        raise ArgumentError("labels length must match column count")
+
+
 def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     """Per-cluster fractions of T spatial draws with replacement from the
     unit columns of ``X``, counted a row group of directions at a time: it
@@ -158,12 +172,8 @@ def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     cluster.
     """
     X = check_unit_columns(*as_matrix_with_norms(X))
-    if T < 1:
-        raise ValueError("T must be >= 1")
-    if len(labels) != X.shape[1]:
-        raise ValueError("labels length must match column count")
-    if T > np.iinfo(np.intp).max:
-        raise ValueError(f"n={T} is more draws than an array can hold")
+    check_draws(T, X.shape[1], distinct=False, name="T")
+    _check_labels(labels, X)
     order = np.argsort(labels.values, kind="stable") if by_cluster else slice(None)
     ids = labels.values[order]
     select = spatial_selector(X[:, order], T, with_replacement=True)
@@ -171,12 +181,8 @@ def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     return sum(np.bincount(ids[p], minlength=labels.n_clusters) for p in picks) / T
 
 
-def estimate_region_areas(
-    X: np.ndarray,
-    labels: ClusterLabels,
-    T: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def estimate_region_areas(X: np.ndarray, labels: ClusterLabels, T: int,
+                          rng: np.random.Generator) -> np.ndarray:
     """Monte-Carlo fractions of the sphere where each cluster dominates.
 
     Draws T random directions and assigns each to the cluster whose
@@ -187,12 +193,8 @@ def estimate_region_areas(
     return _spatial_fractions(X, labels, T, rng, by_cluster=True)
 
 
-def empirical_sampling_probabilities(
-    X: np.ndarray,
-    labels: ClusterLabels,
-    T: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def empirical_sampling_probabilities(X: np.ndarray, labels: ClusterLabels, T: int,
+                                     rng: np.random.Generator) -> np.ndarray:
     """Per-cluster frequency over T spatial draws with replacement."""
     return _spatial_fractions(X, labels, T, rng, by_cluster=False)
 
@@ -203,25 +205,19 @@ def empirical_sampling_probabilities(
 
 def _trials(D, spec: SamplerSpec, trials: int, master_seed: int, prepare=True):
     """``(t, sketch)`` for t = 0..trials-1: ``spec`` run on ``D`` with
-    ``default_rng(master_seed + t)``.  ``D`` goes through
-    ``sampler_input`` first when ``prepare``; ``trials`` is checked before.
+    ``default_rng(master_seed + t)``, ``trials`` and ``master_seed`` checked
+    first.  ``D`` goes through ``sampler_input`` first when ``prepare``.
     The sampler is bound to its matrix once (see ``samplers.bind``), so
     its input check and, say, the leverage SVD run once per loop.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    check_count("trials", trials)
+    check_seed(master_seed)
     draw = bind(sampler_input(D, spec.method) if prepare else D, spec)
     return ((t, draw(np.random.default_rng(master_seed + t))) for t in range(trials))
 
 
-def rank_curve(
-    D: np.ndarray,
-    spec: SamplerSpec,
-    n_grid,
-    trials: int,
-    master_seed: int,
-    rel_tol: float = DEFAULT_RANK_TOL,
-) -> ExperimentReport:
+def rank_curve(D: np.ndarray, spec: SamplerSpec, n_grid, trials: int, master_seed: int,
+               rel_tol: float = DEFAULT_RANK_TOL) -> ExperimentReport:
     """Numerical rank of a growing sketch at each grid size.
 
     Within a trial the sketch is grown once to max(n_grid) and prefixes
@@ -231,9 +227,8 @@ def rank_curve(
     D = as_matrix(D)
     n_grid = [int(n) for n in n_grid]
     if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-        raise ValueError("n_grid must be ascending and non-empty")
-    if min(n_grid) < 1:
-        raise ValueError("grid sizes must be >= 1")
+        raise ArgumentError("n_grid must be ascending and non-empty")
+    check_count("grid sizes", min(n_grid))
     check_rel_tol(rel_tol)
     widest = dataclasses.replace(spec, n=max(n_grid))
     rows = [
@@ -248,18 +243,11 @@ def rank_curve(
     )
 
 
-def coverage_experiment(
-    D: np.ndarray,
-    labels: ClusterLabels,
-    specs,
-    n: int,
-    trials: int,
-    master_seed: int,
-) -> ExperimentReport:
+def coverage_experiment(D: np.ndarray, labels: ClusterLabels, specs, n: int,
+                        trials: int, master_seed: int) -> ExperimentReport:
     """Per-cluster sample counts for each method over repeated trials."""
     D = as_matrix(D)
-    if len(labels) != D.shape[1]:
-        raise ValueError("labels length must match column count")
+    _check_labels(labels, D)
     rows = []
     for spec in specs:
         spec = dataclasses.replace(spec, n=n)
@@ -274,16 +262,10 @@ def coverage_experiment(
     )
 
 
-def kmeans_balance_experiment(
-    D: np.ndarray,
-    labels: ClusterLabels,
-    k: int,
-    sketch_n: int,
-    seeds: int,
-    master_seed: int,
-    restarts: int = 10,
-    max_iters: int = 100,
-) -> ExperimentReport:
+def kmeans_balance_experiment(D: np.ndarray, labels: ClusterLabels, k: int,
+                              sketch_n: int, seeds: int, master_seed: int,
+                              restarts: int = 10,
+                              max_iters: int = 100) -> ExperimentReport:
     """Balanced-centers check on full data versus a spatial sketch.
 
     Per seed, k-means runs once on all columns and once on an n-column
@@ -291,12 +273,10 @@ def kmeans_balance_experiment(
     ground-truth cluster owned a center.
     """
     D = as_matrix(D)
-    if len(labels) != D.shape[1]:
-        raise ValueError("labels length must match column count")
-    if sketch_n < 1:
-        raise ValueError("sketch_n must be >= 1")
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
+    _check_labels(labels, D)
+    check_count("sketch_n", sketch_n)
+    check_count("seeds", seeds)
+    check_seed(master_seed)
     X = normalize_columns(D)
     # check both k-means calls (on D, then on sketch_n columns) and bind the
     # sketch before any Lloyd round
@@ -452,7 +432,7 @@ def lemma_empirical(which: str, arc_spec: ArcSpec, m: int, delta: float,
         params = BoundParams(m, delta, beta, tau1=arc_spec.tau1, tau2=arc_spec.tau2)
         bound, method = lemma3_bound(params), "srs_repl"
     else:
-        raise ValueError(f"unknown lemma {which!r}")
+        raise ArgumentError(f"unknown lemma {which!r}")
     D, labels = gen_arc_clusters(arc_spec)
     spec = SamplerSpec(method, math.ceil(bound))
     # the arcs are sampled as generated, unit up to rounding: normalizing

@@ -7,8 +7,10 @@ experiments into report CSVs (and optional SVG plots).
 Every run is fully determined by its flags: seeds are required wherever
 randomness is involved, and each output file starts with a '#' comment
 echoing the command line (SVG outputs carry the echo in an XML comment).
-Usage errors exit with status 2; data errors exit with status 1 and a
-one-line diagnostic naming the error.
+Usage errors exit with status 2.  Bad input exits with status 1 and one
+stderr line naming the error: an ``SrskitError`` subclass, an ``OSError``
+or a ``MemoryError``.  Any other exception is a bug, and ends in a
+traceback.
 
 The parser is built once per process, on the first ``main()`` call, so
 in-process callers pay for it once; a shell run is unaffected.
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import analysis, plots
 from .embedding import KINDS, EmbeddingSpec, apply_embedding, build_embedding
-from .errors import ShapeError, SrskitError, ZeroMatrixError
+from .errors import ShapeError, SrskitError, ZeroMatrixError, check_count, check_seed
 from .io import (
     load_csv,
     load_indices,
@@ -404,8 +406,8 @@ def _cmd_exp_coverage(args, echo):
 
 def _cmd_exp_probability(args, echo):
     # the estimators would name their own counts, n and T
-    if args.draws < 1:
-        raise ValueError("draws must be >= 1")
+    check_count("draws", args.draws)
+    check_seed(args.seed)
     D = load_csv(args.matrix)
     labels = load_labels(args.labels)
     X = normalize_columns(D)
@@ -500,7 +502,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (SrskitError, OSError, ValueError) as exc:
+    except (SrskitError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadTargetDimError, ShapeError
-from .matrix import as_matrix, spec_rng
+from .errors import ArgumentError, BadTargetDimError, ShapeError, check_count
+from .matrix import as_matrix, fits_array, spec_rng
 
 KINDS = ("rows", "gaussian", "sparse", "rademacher")
 
@@ -36,11 +36,10 @@ class EmbeddingSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown kind {self.kind!r}, expected {KINDS}")
-        if self.p < 1:
-            raise ValueError("target dimension p must be >= 1")
+            raise ArgumentError(f"unknown kind {self.kind!r}, expected {KINDS}")
+        check_count("target dimension p", self.p)
         if not 0.0 < self.density <= 1.0:
-            raise ValueError("density must be in (0, 1]")
+            raise ArgumentError("density must be in (0, 1]")
 
 
 def build_embedding(
@@ -55,6 +54,8 @@ def build_embedding(
         S = np.zeros((p, N1))
         S[np.arange(p), rng.permutation(N1)[:p]] = 1.0
         return S
+    if not fits_array(p, N1):
+        raise BadTargetDimError(f"p={p} is more rows than an array can hold")
     if spec.kind == "gaussian":
         return rng.standard_normal((p, N1)) / np.sqrt(p)
     if spec.kind == "sparse":

@@ -1,12 +1,30 @@
-"""Exception types raised by srskit.
+"""Exception types raised by srskit, and its two argument rules.
 
-Every library error derives from :class:`SrskitError`, so callers (and the
-CLI) can distinguish data problems from programming bugs.
+Every srskit error derives from :class:`SrskitError`, so callers (and the
+CLI) can tell bad input from programming bugs.  A bad argument value is an
+:class:`ArgumentError`, a ``ValueError`` too: every count that must be >= 1
+goes through ``check_count`` and every seed through ``check_seed``.
 """
 
 
 class SrskitError(Exception):
     """Base class for all srskit errors."""
+
+
+class ArgumentError(SrskitError, ValueError):
+    """An argument value is out of its range or names nothing known."""
+
+
+def check_count(name: str, value) -> None:
+    """Raise ArgumentError unless the count ``value`` is >= 1."""
+    if value < 1:
+        raise ArgumentError(f"{name} must be >= 1")
+
+
+def check_seed(seed) -> None:
+    """Raise ArgumentError unless ``seed`` is one numpy takes: >= 0."""
+    if seed < 0:
+        raise ArgumentError("seed must be a non-negative integer")
 
 
 class ZeroColumnError(SrskitError):

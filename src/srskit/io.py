@@ -11,8 +11,8 @@ Reading and writing stream line by line.  A large matrix file is parsed,
 and a large matrix formatted, in spans across forked children (see
 ``_parallel``), with the array and the bytes of one span; a bad line
 falls back to a line loop that names it.  Every text output, report
-CSVs included, goes through ``write_lines``: the comment echo as '#'
-lines, then the lines, to a path or an open stream.
+CSVs and SVG plots included, goes through ``write_lines``: the comment
+echo as '#' lines, then the lines, to a path or an open stream.
 """
 
 from __future__ import annotations
@@ -31,13 +31,6 @@ from .errors import ParseError, ShapeError
 from .matrix import ClusterLabels, SketchResult, as_matrix
 
 
-def comment_block(comment: str | None) -> str:
-    """``comment`` as '#' lines, one per line of it ('' for none)."""
-    if not comment:
-        return ""
-    return "".join(f"# {part}\n" for part in comment.splitlines())
-
-
 def write_lines(out, lines, comment: str | None = None) -> None:
     """Write ``comment`` as '#' lines, then each of ``lines`` ending in LF.
 
@@ -48,7 +41,8 @@ def write_lines(out, lines, comment: str | None = None) -> None:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             write_lines(fh, lines, comment)
         return
-    out.write(comment_block(comment))
+    if comment:
+        out.writelines(f"# {part}\n" for part in comment.splitlines())
     for line in lines:
         out.write(line)
         out.write("\n")
@@ -248,12 +242,12 @@ def _send_rows(path, out, span) -> None:
 
 
 def _span_rows(path, span) -> np.ndarray:
-    """The rows of a line span, parsed by one ``np.loadtxt``; ValueError
+    """The rows of a line span, parsed by one ``np.loadtxt``; ShapeError
     when it has no data line."""
     with closing(_data_lines(path, span)) as numbered:
         first = next(numbered, None)
         if first is None:  # loadtxt only warns on an empty input
-            raise ValueError("no data line")
+            raise ShapeError("no data line")
         texts = (text for _, text in itertools.chain([first], numbered))
         return np.loadtxt(texts, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
 

@@ -12,29 +12,21 @@ from __future__ import annotations
 import numpy as np
 
 from . import _kernels, _parallel
-from .errors import TooManySamplesError
+from .errors import TooManySamplesError, check_count
 from .matrix import ClusterLabels, as_matrix
 
 
 def check_kmeans_args(n2: int, k: int, restarts: int, max_iters: int):
     """The argument checks of ``kmeans`` on ``n2`` columns, in its order."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_count("k", k)
     if k > n2:
         raise TooManySamplesError(f"k={k} exceeds {n2} columns")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_count("restarts", restarts)
+    check_count("max_iters", max_iters)
 
 
-def kmeans(
-    D: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    max_iters: int = 100,
-    restarts: int = 10,
-) -> np.ndarray:
+def kmeans(D: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100,
+           restarts: int = 10) -> np.ndarray:
     """Cluster the columns of ``D``; returns the k centers as columns."""
     D = as_matrix(D)
     n2 = D.shape[1]

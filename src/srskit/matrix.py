@@ -12,10 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ArgumentError,
     EmptySketchError,
     NotNormalizedError,
     ShapeError,
     ZeroColumnError,
+    check_seed,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -46,6 +48,12 @@ def checked_with_norms(values, norms=column_norms) -> tuple[np.ndarray, np.ndarr
     return arr, col_norms
 
 
+def fits_array(rows: int, cols: int = 1) -> bool:
+    """Whether a ``rows`` x ``cols`` array of 8-byte items is within numpy's
+    size limit; past it, numpy raises a bare ValueError."""
+    return 8 * rows * cols <= np.iinfo(np.intp).max
+
+
 def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a validated 2-D float64 matrix; ShapeError when
     it is not 2-D, is empty or has a non-finite entry."""
@@ -66,7 +74,7 @@ class ClusterLabels:
             raise ShapeError("labels must be a 1-D integer vector")
         if self.n_clusters < 1:
             raise ShapeError("n_clusters must be >= 1")
-        if self.n_clusters > np.iinfo(np.intp).max // 8:  # an int64 count each
+        if not fits_array(self.n_clusters):  # an int64 count each
             raise ShapeError(f"n_clusters={self.n_clusters} is too many to count")
         if vals.size and (vals.min() < 0 or vals.max() >= self.n_clusters):
             raise ShapeError(
@@ -110,11 +118,12 @@ class SketchResult:
 
 
 def spec_rng(rng: np.random.Generator | None, spec) -> np.random.Generator:
-    """``rng``, else ``default_rng(spec.seed)``; one of them is required."""
+    """``rng``, else ``default_rng`` of the checked ``spec.seed``; one is required."""
     if rng is not None:
         return rng
     if spec.seed is None:
-        raise ValueError("either rng or spec.seed is required")
+        raise ArgumentError("either rng or spec.seed is required")
+    check_seed(spec.seed)
     return np.random.default_rng(spec.seed)
 
 
@@ -154,9 +163,9 @@ def check_unit_columns(X: np.ndarray, norms: np.ndarray | None = None) -> np.nda
 
 
 def check_rel_tol(rel_tol: float) -> None:
-    """Raise ValueError unless ``rel_tol`` is finite and > 0 (NaN is not)."""
+    """Raise ArgumentError unless ``rel_tol`` is finite and > 0 (NaN is not)."""
     if not 0.0 < rel_tol < np.inf:
-        raise ValueError("rel_tol must be finite and > 0")
+        raise ArgumentError("rel_tol must be finite and > 0")
 
 
 def numerical_rank(D: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -176,7 +185,8 @@ def singular_value_rank(sv: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> in
     """
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    with np.errstate(over="ignore"):  # no value is above an infinite cut
+        return int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
 def approximation_error(D: np.ndarray, C: np.ndarray) -> float:

@@ -12,6 +12,7 @@ import re
 import numpy as np
 
 from .analysis import ExperimentReport, per_cluster_means, per_x_summary
+from .io import write_lines
 
 WIDTH = 640
 HEIGHT = 420
@@ -153,8 +154,7 @@ class _Canvas:
 
     def finish(self, path):
         self.parts.append("</svg>")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(self.parts) + "\n")
+        write_lines(path, self.parts)
 
 
 def _axis_label(v: float) -> str:

@@ -35,10 +35,13 @@ import numpy as np
 from . import _parallel, matrix
 from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax
 from .errors import (
+    ArgumentError,
     RankDeficientKError,
     ShapeError,
     TooManySamplesError,
     ZeroMatrixError,
+    check_count,
+    check_seed,
 )
 from .matrix import (
     NORM_TOL,
@@ -47,6 +50,7 @@ from .matrix import (
     check_unit_columns,
     checked_with_norms,
     column_norms,
+    fits_array,
     singular_value_rank,
     spec_rng,
 )
@@ -95,13 +99,12 @@ class SamplerSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(
+            raise ArgumentError(
                 f"unknown method {self.method!r}, expected one of {METHODS}"
             )
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.seed is not None and self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        check_count("n", self.n)
+        if self.seed is not None:
+            check_seed(self.seed)
 
 
 def sample_gaussian_directions(n: int, N1: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,8 +113,7 @@ def sample_gaussian_directions(n: int, N1: int, rng: np.random.Generator) -> np.
     Each row, once normalized, is a uniformly distributed point on the
     unit sphere in R^N1.
     """
-    if n < 1 or N1 < 1:
-        raise ValueError("n and N1 must be >= 1")
+    check_count("n and N1", min(n, N1))
     return rng.standard_normal((n, N1))
 
 
@@ -341,10 +343,7 @@ def srs_select_indices(
         )
     check_unit_columns(X, norms)
     n = phi.shape[0]
-    if not with_replacement and n > X.shape[1]:
-        raise TooManySamplesError(
-            f"requested {n} distinct columns from {X.shape[1]}"
-        )
+    check_draws(n, X.shape[1], distinct=not with_replacement)
     return _picks(spatial_selector(X, n, with_replacement), lambda a, b: phi[a:b])
 
 
@@ -357,19 +356,21 @@ def _sketch(M, idx, method, with_replacement):
     )
 
 
+def check_draws(n: int, n2: int, distinct: bool, name: str = "n") -> None:
+    """Check ``n`` draws from ``n2`` columns, distinct or not: ``n`` (named
+    ``name``), then the column count, then that an array holds the picks."""
+    check_count(name, n)
+    if distinct and n > n2:
+        raise TooManySamplesError(f"requested {n} distinct columns from {n2}")
+    if not fits_array(n):
+        raise ArgumentError(f"n={n} is more draws than an array can hold")
+
+
 def _checked(D: np.ndarray, n: int, distinct: bool):
-    """``D`` and its column norms, from one pass over it, checked for ``n``
-    draws, distinct or not: its entries, then ``n``, then its column count,
-    then that ``n`` fits an array index."""
+    """``D`` and its column norms, from one pass over it, its entries
+    checked, then ``n`` draws from it (``check_draws``)."""
     D, norms = as_matrix_with_norms(D)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if distinct and n > D.shape[1]:
-        raise TooManySamplesError(
-            f"requested {n} distinct columns from {D.shape[1]}"
-        )
-    if n > np.iinfo(np.intp).max:
-        raise ValueError(f"n={n} is more draws than an array can hold")
+    check_draws(n, D.shape[1], distinct)
     return D, norms
 
 
@@ -509,12 +510,8 @@ def ris(
     return _bind_ris(D, n, with_replacement)(rng)
 
 
-def norm_sampling(
-    D: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    squared: bool = True,
-) -> SketchResult:
+def norm_sampling(D: np.ndarray, n: int, rng: np.random.Generator,
+                  squared: bool = True) -> SketchResult:
     """i.i.d. draws proportional to column norms.
 
     With ``squared`` (the usual convention) column j is drawn with
@@ -523,12 +520,8 @@ def norm_sampling(
     return _bind_norm(D, n, squared)(rng)
 
 
-def leverage_sampling(
-    D: np.ndarray,
-    n: int,
-    rng: np.random.Generator,
-    k: int | None = None,
-) -> SketchResult:
+def leverage_sampling(D: np.ndarray, n: int, rng: np.random.Generator,
+                      k: int | None = None) -> SketchResult:
     """i.i.d. draws from leverage scores of the top-k right singular vectors."""
     return _bind_leverage(D, n, k)(rng)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ArcOverlapError, BadArcLengthsError, BadDimsError
-from .matrix import ClusterLabels, column_norms, spec_rng
+from .matrix import ClusterLabels, column_norms, fits_array, spec_rng
 
 TWO_PI = 2.0 * math.pi
 
@@ -59,9 +59,11 @@ class SubspaceSpec:
             raise BadDimsError(
                 f"total rank {total_rank} not divisible by {n_subspaces}"
             )
-        d = total_rank // n_subspaces
         if isinstance(populations, int):
             populations = (populations,) * n_subspaces
+        if len(populations) != n_subspaces:  # before n_subspaces dims are made
+            raise BadDimsError("dims and populations must be equal nonzero length")
+        d = total_rank // n_subspaces
         return cls(ambient, (d,) * n_subspaces, tuple(populations), seed)
 
 
@@ -77,6 +79,8 @@ def validate_arc_spec(spec: ArcSpec) -> None:
     """Raise BadArcLengthsError / ArcOverlapError on invalid geometry."""
     if spec.n1 < 1 or spec.n2 < 1:
         raise BadArcLengthsError("populations n1, n2 must be >= 1")
+    if not fits_array(2, spec.n1 + spec.n2):
+        raise BadArcLengthsError("n1 + n2 is more columns than an array can hold")
     geometry = (spec.tau1, spec.tau2, spec.center1, spec.center2)
     if not all(map(math.isfinite, geometry)):
         raise BadArcLengthsError("arc lengths and centers must be finite")
@@ -129,6 +133,9 @@ def validate_subspace_spec(spec: SubspaceSpec) -> None:
         raise BadDimsError(
             f"max dim {max(spec.dims)} exceeds ambient {spec.ambient}"
         )
+    # the matrix, and each ambient x dim basis
+    if not fits_array(spec.ambient, max(sum(spec.populations), *spec.dims)):
+        raise BadDimsError("ambient x columns is more than an array can hold")
 
 
 def gen_union_subspaces(

@@ -35,7 +35,7 @@ from srskit import (
 )
 from srskit import METHODS, _parallel, samplers
 from srskit.analysis import _trials, lemma_empirical
-from srskit.errors import TooManySamplesError, ZeroColumnError
+from srskit.errors import ArgumentError, TooManySamplesError, ZeroColumnError
 from srskit.samplers import sample_columns, sampler_input
 
 
@@ -285,7 +285,7 @@ def test_trials_check_trials_then_columns_then_sampler():
     D[:, 1] = 0.0
     spec = SamplerSpec(method="srs", n=4, seed=0)  # also too many columns
     assert outcome(lambda: _trials(D, spec, 0, 0)) == (
-        ValueError, "trials must be >= 1")
+        ArgumentError, "trials must be >= 1")
     assert outcome(lambda: _trials(D, spec, 1, 0))[0] is ZeroColumnError
     assert outcome(lambda: _trials(np.eye(3), spec, 1, 0))[0] is TooManySamplesError
 

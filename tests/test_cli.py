@@ -285,8 +285,8 @@ def test_exp_kmeans_file(tmp_path):
 @pytest.mark.parametrize("extra, message", [
     ((), "TooManySamplesError: k=4 exceeds 3 columns"),
     (("--k", 30), "TooManySamplesError: k=30 exceeds 20 columns"),
-    (("--restarts", 0), "ValueError: restarts must be >= 1"),
-    (("--max-iters", 0), "ValueError: max_iters must be >= 1"),
+    (("--restarts", 0), "ArgumentError: restarts must be >= 1"),
+    (("--max-iters", 0), "ArgumentError: max_iters must be >= 1"),
 ], ids=["sketch", "full-data-first", "restarts-first", "max-iters-first"])
 def test_exp_kmeans_k_beyond_sketch_n_exits_one_before_lloyd(
         tmp_path, capsys, monkeypatch, extra, message):
@@ -413,7 +413,7 @@ def test_counts_below_one_exit_one_before_writing(tmp_path, capsys, argv,
     argv = [str(a).format(**paths) for a in argv] + ["--out", str(out)]
     capsys.readouterr()
     assert run(*argv) == 1
-    assert capsys.readouterr().err == f"ValueError: {message}\n"
+    assert capsys.readouterr().err == f"ArgumentError: {message}\n"
     assert not out.exists() and not svg.exists()
 
 
@@ -563,7 +563,7 @@ def test_sketch_n_beyond_an_array_exits_one_before_writing(tmp_path, capsys,
     capsys.readouterr()
     assert run("sketch", "--matrix", mat, "--method", method, "--n", HUGE_N,
                "--seed", 1, "--out-indices", idx) == 1
-    assert capsys.readouterr().err.startswith(f"ValueError: n={HUGE_N} ")
+    assert capsys.readouterr().err.startswith(f"ArgumentError: n={HUGE_N} ")
     assert not idx.exists()
 
 
@@ -575,7 +575,7 @@ def test_exp_coverage_n_beyond_an_array_exits_one_before_writing(tmp_path,
     assert run("exp", "coverage", "--matrix", mat, "--labels", lab,
                "--methods", "ris_repl,norm", "--n", HUGE_N, "--trials", 2,
                "--seed", 1, "--out", out) == 1
-    assert capsys.readouterr().err.startswith(f"ValueError: n={HUGE_N} ")
+    assert capsys.readouterr().err.startswith(f"ArgumentError: n={HUGE_N} ")
     assert not out.exists()
 
 
@@ -625,7 +625,7 @@ def test_exp_kmeans_labels_length_mismatch_exits_one_before_lloyd(
     assert run("exp", "kmeans", "--matrix", mat, "--labels", lab, "--k", 2,
                "--sketch-n", 10, "--seeds", 1, "--seed", 1, "--out", out) == 1
     assert capsys.readouterr().err == (
-        "ValueError: labels length must match column count\n")
+        "ArgumentError: labels length must match column count\n")
     assert calls == [] and not out.exists()
 
 
@@ -653,7 +653,7 @@ def test_rel_tol_not_finite_and_positive_exits_one(tmp_path, capsys, rel_tol,
     capsys.readouterr()
     assert run(*argv, "--rel-tol", rel_tol) == 1
     assert capsys.readouterr().err == (
-        "ValueError: rel_tol must be finite and > 0\n")
+        "ArgumentError: rel_tol must be finite and > 0\n")
     assert not out.exists() and not svg.exists()
 
 
@@ -822,7 +822,7 @@ def test_exp_probability_draws_beyond_an_array_exits_one(tmp_path, capsys,
                "--draws", HUGE_N, "--seed", 1, "--estimator", estimator,
                "--out", out) == 1
     assert capsys.readouterr().err == (
-        f"ValueError: n={HUGE_N} is more draws than an array can hold\n")
+        f"ArgumentError: n={HUGE_N} is more draws than an array can hold\n")
     assert not out.exists()
 
 
@@ -857,3 +857,72 @@ def test_memory_error_exits_one_without_output(tmp_path, capsys, monkeypatch):
     assert rc == 1
     assert capsys.readouterr().err == "MemoryError: Unable to allocate 149. GiB for an array\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("arcs", "--n1", 2**63, "--n2", 5), "BadArcLengthsError"),
+    (("arcs", "--n1", 5, "--n2", 2**63), "BadArcLengthsError"),
+    (("arcs", "--n1", 10**21, "--n2", 5), "BadArcLengthsError"),
+    (("arcs", "--n1", 2**62, "--n2", 5), "BadArcLengthsError"),
+    (("subspaces", "--ambient", 2**63, "--dims", "2,2", "--pops", "5,6"),
+     "BadDimsError"),
+    (("subspaces", "--ambient", 10**21, "--dims", "2,2", "--pops", "5,6"),
+     "BadDimsError"),
+    (("subspaces", "--ambient", 2**62, "--dims", 2**62, "--pops", 1),
+     "BadDimsError"),
+    (("subspaces", "--ambient", 8, "--total-rank", 2**63, "--n-subspaces",
+      2**63, "--pops", "5,6"), "BadDimsError"),
+], ids=["n1-2**63", "n2-2**63", "n1-10**21", "n1-2**62", "ambient-2**63",
+        "ambient-10**21", "basis-2**62", "n-subspaces-2**63"])
+def test_gen_past_any_array_exits_one_before_writing(tmp_path, capsys, argv,
+                                                      error):
+    # these ended in numpy's untyped "Maximum allowed dimension exceeded"
+    # or "array is too big", and the last in an OverflowError traceback
+    kind, *flags = argv
+    extra = ("--tau1", 1.2, "--tau2", 0.6) if kind == "arcs" else ()
+    capsys.readouterr()
+    assert run("gen", kind, *flags, *extra, "--seed", 0,
+               "--out-matrix", tmp_path / "D.csv",
+               "--out-labels", tmp_path / "L.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "arcs", "--tau1", 1.2, "--tau2", 0.6, "--n1", 5, "--n2", 5,
+     "--seed", -1, "--out-matrix", "{out}", "--out-labels", "{out2}"),
+    ("gen", "subspaces", "--ambient", 4, "--dims", "2,2", "--pops", "5,6",
+     "--seed", -1, "--out-matrix", "{out}", "--out-labels", "{out2}"),
+    ("sketch", "--matrix", "{mat}", "--method", "srs", "--n", 3, "--seed", -1,
+     "--out-indices", "{out}"),
+    ("sketch", "--matrix", "{mat}", "--method", "srs", "--n", 3, "--seed", 1,
+     "--embed", "gaussian", "--embed-dim", 2, "--embed-seed", -1,
+     "--out-indices", "{out}"),
+    ("exp", "rank-curve", "--matrix", "{mat}", "--methods", "srs",
+     "--grid", "2,4", "--trials", 2, "--seed", -1, "--out", "{out}",
+     "--svg", "{out2}"),
+    ("exp", "coverage", "--matrix", "{mat}", "--labels", "{lab}",
+     "--methods", "ris", "--n", 3, "--trials", 2, "--seed", -1,
+     "--out", "{out}", "--svg", "{out2}"),
+    ("exp", "probability", "--matrix", "{mat}", "--labels", "{lab}",
+     "--draws", 5, "--seed", -1, "--out", "{out}"),
+    ("exp", "kmeans", "--matrix", "{mat}", "--labels", "{lab}", "--k", 2,
+     "--sketch-n", 4, "--seeds", 2, "--seed", -1, "--out", "{out}"),
+    ("exp", "bounds", *_EMPIRICAL, "--data-seed", -1, "--out", "{out}"),
+    ("exp", "bounds", *_EMPIRICAL, "--seed", -1, "--out", "{out}"),
+], ids=["gen-arcs", "gen-subspaces", "sketch", "sketch-embed-seed",
+        "rank-curve", "coverage", "probability", "kmeans", "bounds-data-seed",
+        "bounds-seed"])
+def test_negative_seed_exits_one_before_writing(tmp_path, capsys, argv):
+    # numpy's "ValueError: expected non-negative integer" before, except
+    # for sketch --seed
+    mat, lab = gen_arcs(tmp_path, n1=10, n2=10)
+    out = tmp_path / "out"
+    out.mkdir()
+    paths = {"mat": mat, "lab": lab, "out": out / "a", "out2": out / "b"}
+    capsys.readouterr()
+    assert run(*[str(a).format(**paths) for a in argv]) == 1
+    assert capsys.readouterr().err == (
+        "ArgumentError: seed must be a non-negative integer\n")
+    assert list(out.iterdir()) == []

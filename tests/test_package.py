@@ -91,6 +91,40 @@ def test_no_module_reads_the_private_names_of_another():
     assert {name: reads for name, reads in found.items() if reads} == {}
 
 
+# what a ``raise`` may construct: an srskit error, the CLI's usage error or
+# argparse's type error, which argparse turns into a usage error
+RAISABLE = ({node.name for node in TREES["errors"].body
+             if isinstance(node, ast.ClassDef)}
+            | {"UsageError", "argparse.ArgumentTypeError"})
+
+
+def untyped_raises(tree):
+    """Each ``raise`` in ``tree`` of an exception it makes but whose class is
+    not in RAISABLE, with its line.  A bare ``raise`` and a raise of a
+    caught exception (a name bound by ``except``, or an item) make none."""
+    caught = {node.name for node in ast.walk(tree)
+              if isinstance(node, ast.ExceptHandler)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Raise):
+            continue
+        if isinstance(node.exc, ast.Call):
+            name = ast.unparse(node.exc.func)
+        elif isinstance(node.exc, ast.Name) and node.exc.id not in caught:
+            name = node.exc.id
+        else:
+            continue
+        if name not in RAISABLE:
+            found.append((node.lineno, name))
+    return found
+
+
+def test_every_raise_makes_a_typed_error():
+    found = {name: untyped_raises(tree) for name, tree in TREES.items()}
+    assert {name: raises for name, raises in found.items() if raises} == {}
+    assert "ArgumentError" in RAISABLE
+
+
 def test_only_the_parallel_module_forks_or_starts_threads():
     found = {name: parallel_uses(tree) for name, tree in TREES.items()}
     here = {use for _, use in found.pop("_parallel", [])}

@@ -8,6 +8,7 @@ from scipy.stats import chi2
 
 from srskit import (
     METHODS,
+    ArgumentError,
     NotNormalizedError,
     RankDeficientKError,
     SamplerSpec,
@@ -422,11 +423,11 @@ def test_rng_or_seed_error_comes_before_input_errors():
 @pytest.mark.parametrize("method", METHODS)
 def test_n_beyond_an_array_index_is_value_error(method):
     n = int(np.iinfo(np.intp).max) + 1
-    error = TooManySamplesError if method in ("srs", "ris", "volume") else ValueError
+    error = TooManySamplesError if method in ("srs", "ris", "volume") else ArgumentError
     with pytest.raises(error) as info:
         sample_columns(unit(np.eye(3)), SamplerSpec(method=method, n=n, seed=0))
     assert type(info.value) is error
-    if error is ValueError:
+    if error is ArgumentError:
         assert str(n) in str(info.value)
 
 

@@ -24,6 +24,7 @@ from test_kernels import oracle_pick_distinct_argmax
 import srskit
 from srskit import (
     ArcSpec,
+    ArgumentError,
     ClusterLabels,
     NotNormalizedError,
     ShapeError,
@@ -478,7 +479,7 @@ def test_entries_whose_squares_overflow_are_not_normalized(caller):
     ("srs_select_indices", 1e200, 6, NotNormalizedError),
     ("srs_without_replacement", 1e200, 6, TooManySamplesError),
     ("srs_with_replacement", np.nan, 0, ShapeError),
-    ("srs_with_replacement", 1e200, 0, ValueError),
+    ("srs_with_replacement", 1e200, 0, ArgumentError),
     ("estimate_region_areas", np.nan, 0, ShapeError),
     ("estimate_region_areas", 1e200, 0, NotNormalizedError),
 ])
