@@ -38,6 +38,7 @@ from .errors import (
     BadParamsError,
     BadTargetDimError,
     EmptySketchError,
+    InternalError,
     NotNormalizedError,
     ParseError,
     RankDeficientKError,

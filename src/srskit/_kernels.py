@@ -7,14 +7,16 @@ nearest-center GEMM per round.  Both searches rank by a fast score and
 settle every candidate within its rounding bound by an exact one, in
 ``lowest_best``; a result depends on the inputs alone, not on how a BLAS
 rounded the fast score or which restarts shared its GEMM.  Spatial
-selection keeps its GEMMs and reduces its |Phi . X| screen tile by tile
-itself, and hands the argmax whole screen rows: a tile of every column,
-or a batch of the rows it screens again.
+selection keeps its GEMMs and reduces each |Phi . X| screen tile, and
+``pick_argmax`` whole screen rows, with ``top_two``, which checks the
+values: a non-finite row maximum is an InternalError.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import InternalError
 
 
 def lowest_best(rows: np.ndarray, cols: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -91,6 +93,21 @@ def nearest_stack(a: np.ndarray, a_norms: np.ndarray, B: np.ndarray) -> np.ndarr
     return labels
 
 
+def top_two(q: np.ndarray):
+    """Per row of ``q``: the argmax (ties to the lowest index), the maximum
+    and the largest other entry; ``q`` is written to and restored.  A NaN
+    or infinite maximum, which checked inputs cannot give, is an InternalError."""
+    k = q.argmax(axis=1)
+    r = np.arange(q.shape[0])
+    t = q[r, k]
+    if not np.isfinite(t).all():
+        raise InternalError("the |Phi . X| screen has a non-finite entry")
+    q[r, k] = -np.inf
+    s = q.max(axis=1)
+    q[r, k] = t
+    return k, t, s
+
+
 def pick_argmax(absq: np.ndarray, tol: np.ndarray, score) -> np.ndarray:
     """Row-wise argmax of a screen of absolute projections.
 
@@ -101,15 +118,11 @@ def pick_argmax(absq: np.ndarray, tol: np.ndarray, score) -> np.ndarray:
     are computed only for rows with two or more such entries.  ``absq``
     is written to and restored.
     """
-    best = absq.argmax(axis=1)
-    r = np.arange(absq.shape[0])
-    top = absq[r, best]
+    best, top, second = top_two(absq)
     # top - tol in float64, rounded to the screen's dtype and then one step
     # down, so the cut is never above it
     cut = np.nextafter((top - tol).astype(absq.dtype), -np.inf)
-    absq[r, best] = -np.inf
-    near = np.flatnonzero(absq.max(axis=1) >= cut)  # a second candidate
-    absq[r, best] = top
+    near = np.flatnonzero(second >= cut)  # a second candidate
     # settle a few rows at a time, so the candidate mask stays far smaller
     # than the block
     step = max(1, (1 << 16) // absq.shape[1])

@@ -36,12 +36,12 @@ from .matrix import (
     as_matrix,
     check_rel_tol,
     check_unit_columns,
+    checked_with_norms,
     normalize_columns,
     numerical_rank,
 )
 from .samplers import (
     SamplerSpec,
-    as_matrix_with_norms,
     bind,
     check_draws,
     sample_gaussian_directions,
@@ -171,7 +171,7 @@ def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     the lowest cluster id: selection then sees the columns sorted by
     cluster.
     """
-    X = check_unit_columns(*as_matrix_with_norms(X))
+    X = check_unit_columns(*checked_with_norms(X))
     check_draws(T, X.shape[1], distinct=False, name="T")
     _check_labels(labels, X)
     order = np.argsort(labels.values, kind="stable") if by_cluster else slice(None)

@@ -42,6 +42,7 @@ from .io import (
 from .matrix import (
     DEFAULT_RANK_TOL,
     approximation_error,
+    column_norms,
     normalize_columns,
     numerical_rank,
 )
@@ -272,7 +273,7 @@ def _cmd_gen_subspaces(args, echo):
 
 
 def _drop_zero_columns(D):
-    keep = np.flatnonzero(np.einsum("ij,ij->j", D, D) > 0.0)
+    keep = np.flatnonzero(column_norms(D) > 0.0)
     if keep.size == 0:
         raise ZeroMatrixError("all columns are zero")
     return np.ascontiguousarray(D[:, keep]), keep

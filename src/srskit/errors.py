@@ -11,6 +11,11 @@ class SrskitError(Exception):
     """Base class for all srskit errors."""
 
 
+class InternalError(RuntimeError):
+    """A value that checked inputs cannot produce, such as a non-finite
+    screen entry: a bug in srskit, not bad input, so not an SrskitError."""
+
+
 class ArgumentError(SrskitError, ValueError):
     """An argument value is out of its range or names nothing known."""
 

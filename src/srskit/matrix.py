@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _parallel
 from .errors import (
     ArgumentError,
     EmptySketchError,
@@ -26,13 +27,15 @@ NORM_TOL = 1e-6
 
 
 def column_norms(X: np.ndarray) -> np.ndarray:
-    """l2-norm of every column of ``X``."""
-    squares = np.einsum("ij,ij->j", X, X)
+    """l2-norm of every column of ``X``, in column spans across workers
+    (``_parallel.map_spans``); a column's norm does not depend on its span."""
+    squares = np.concatenate(_parallel.map_spans(
+        lambda a, b: np.einsum("ij,ij->j", X[:, a:b], X[:, a:b]), X, 1))
     return np.sqrt(squares, out=squares)
 
 
-def checked_with_norms(values, norms=column_norms) -> tuple[np.ndarray, np.ndarray]:
-    """``as_matrix(values)`` and its column norms ``norms(arr)``: one pass.
+def checked_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix(values)`` and its column norms: one pass.
 
     A finite sum of squares proves its column finite, so the entries are
     checked one by one only when a norm is not: an entry is not, or its
@@ -42,7 +45,7 @@ def checked_with_norms(values, norms=column_norms) -> tuple[np.ndarray, np.ndarr
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"matrix must be at least 1x1, got {arr.shape}")
-    col_norms = norms(arr)
+    col_norms = column_norms(arr)
     if not (np.isfinite(col_norms).all() or np.isfinite(arr).all()):
         raise ShapeError("matrix contains non-finite entries")
     return arr, col_norms
@@ -142,7 +145,7 @@ def normalize_columns(D: np.ndarray) -> np.ndarray:
 
 def column_norms_ok(X: np.ndarray, tol: float = NORM_TOL) -> bool:
     """True when every column norm is within ``tol`` of 1."""
-    return bool(np.all(np.abs(column_norms(X) - 1.0) <= tol))
+    return bool(np.all(np.abs(column_norms(np.asarray(X, float)) - 1.0) <= tol))
 
 
 def check_unit_columns(X: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
@@ -192,9 +195,10 @@ def singular_value_rank(sv: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> in
 def approximation_error(D: np.ndarray, C: np.ndarray) -> float:
     """Relative residual of projecting ``D`` onto the span of ``C``.
 
-    Computes ||D - C pinv(C) D||_F / ||D||_F through a least-squares
-    solve (no explicit pseudoinverse).  Raises EmptySketchError when C
-    has no columns and ShapeError on a row-count mismatch.
+    Computes ||D - U U^T D||_F / ||D||_F, U the left singular vectors of C
+    above ``lstsq``'s cut (eps max(C.shape) times the largest); it holds
+    U^T D and one array of D's shape.  Raises EmptySketchError when C has
+    no columns and ShapeError on a row-count mismatch.
     """
     D = as_matrix(D)
     if C.ndim != 2 or C.shape[1] == 0:
@@ -207,8 +211,7 @@ def approximation_error(D: np.ndarray, C: np.ndarray) -> float:
     denom = np.linalg.norm(D)
     if denom == 0.0:
         return 0.0
-    # lstsq uses an SVD-based solve; rcond trims directions that are
-    # numerically zero so duplicated columns do not blow up.
-    coeffs, _, _, _ = np.linalg.lstsq(C, D, rcond=None)
-    resid = D - C @ coeffs
-    return float(np.linalg.norm(resid) / denom)
+    U, sv, _ = np.linalg.svd(C, full_matrices=False)
+    U = U[:, : singular_value_rank(sv, np.finfo(np.float64).eps * max(C.shape))]
+    resid = U @ (U.T @ D)
+    return float(np.linalg.norm(np.subtract(D, resid, out=resid)) / denom)

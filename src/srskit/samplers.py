@@ -33,7 +33,7 @@ from functools import partial, reduce
 import numpy as np
 
 from . import _parallel, matrix
-from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax
+from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax, top_two
 from .errors import (
     ArgumentError,
     RankDeficientKError,
@@ -49,7 +49,6 @@ from .matrix import (
     as_matrix,
     check_unit_columns,
     checked_with_norms,
-    column_norms,
     fits_array,
     singular_value_rank,
     spec_rng,
@@ -137,20 +136,22 @@ def _tile_shape(Xs: np.ndarray, n: int) -> tuple[int, int]:
 def _abs_product(a: np.ndarray, b: np.ndarray, q: np.ndarray):
     """|a @ b|, computed in ``q``, or in its front if ``q`` is flat.
 
-    ``q`` holds only finite values when the GEMM starts: a BLAS may scale
-    the output it overwrites by 0 (in a GEMV, say), and 0 * inf or 0 * nan
-    raises numpy's "invalid value" warning.  So ``q`` starts as zeros.
+    ``q`` starts as zeros: a BLAS may scale the output it overwrites by 0
+    (in a GEMV, say).  numpy reads the FPU's invalid flag after the GEMM,
+    which a BLAS may set in work it throws away: the GEMM ignores it (here,
+    as numpy's error state is per thread) and ``top_two`` checks the values.
     """
     if q.ndim == 1:
         q = q[: a.shape[0] * b.shape[1]].reshape(a.shape[0], b.shape[1])
-    np.matmul(a, b, out=q)
+    with np.errstate(invalid="ignore"):
+        np.matmul(a, b, out=q)
     return np.abs(q, out=q)
 
 
 def _lead(a, b):
-    """The (argmax, maximum, largest other entry) per row of two column
-    ranges, ``a`` before ``b``: ``b`` leads only where it is strictly
-    larger, so ties go to the lowest index, however the columns are split."""
+    """``top_two`` of two column ranges, ``a`` before ``b``: ``b`` leads only
+    where it is strictly larger, so ties go to the lowest index, however
+    the columns are split."""
     (ka, ta, sa), (kb, tb, sb) = a, b
     up = tb > ta
     return (np.where(up, kb, ka), np.where(up, tb, ta),
@@ -158,24 +159,17 @@ def _lead(a, b):
 
 
 def _top_two(phi_c: np.ndarray, Xs: np.ndarray, cols: int):
-    """Per row of |phi_c @ Xs|: the argmax (ties to the lowest index), the
-    maximum and the largest other entry.  The screen is computed and
-    reduced ``cols`` columns at a time, each tile while it is in cache,
-    and a span of tiles per worker."""
-    r = np.arange(phi_c.shape[0])
+    """``top_two`` of |phi_c @ Xs|, computed and reduced ``cols`` columns at
+    a time, each tile while it is in cache, and a span of tiles per worker."""
 
     def tile(q, c):
-        k = q.argmax(axis=1)
-        t = q[r, k]
-        q[r, k] = -np.inf
-        s = q.max(axis=1)
-        q[r, k] = t  # finite again before the next GEMM (see _abs_product)
+        k, t, s = top_two(q)  # q is finite again before the next GEMM
         return k + c, t, s
 
     def span(a, b):
         # one tile buffer per worker, freed on return: before any row is
         # screened again or scored exactly
-        buf = np.zeros(r.size * cols, Xs.dtype)
+        buf = np.zeros(phi_c.shape[0] * cols, Xs.dtype)
         return reduce(_lead, (
             tile(_abs_product(phi_c, Xs[:, c : c + cols], buf), c)
             for c in range(a, b, cols)))
@@ -285,8 +279,7 @@ def spatial_selector(X: np.ndarray, n: int, with_replacement: bool):
                     yield pick_distinct_argmax(q, taken, tol, score)
                 continue
             best, top, second = _top_two(phi_c, Xs, cols)
-            # as in pick_argmax: top - tol rounded to the screen's dtype and
-            # one step down, so the cut is never above it
+            # pick_argmax's cut: top - tol, rounded down to the screen's dtype
             cut = np.nextafter((top - tol).astype(dtype), -np.inf)
 
             def screen(r):
@@ -306,13 +299,6 @@ def _picks(select, directions) -> np.ndarray:
     srs draw or of ``srs_select_indices``: the function a layer tracer
     should wrap to time the ``samplers.project`` layer."""
     return np.concatenate(list(select(directions)))
-
-
-def as_matrix_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
-    """``checked_with_norms(values)``, its norm pass split across workers
-    (see ``_parallel.map_spans``)."""
-    return checked_with_norms(values, lambda arr: np.concatenate(
-        _parallel.map_spans(lambda a, b: column_norms(arr[:, a:b]), arr, 1)))
 
 
 def srs_select_indices(
@@ -335,7 +321,7 @@ def srs_select_indices(
     the dense n x N2 matrix, plus a float32 copy of X when it has
     ``_FLOAT32_MIN_N1`` rows or more.  X is checked in one pass over it.
     """
-    X, norms = as_matrix_with_norms(X)
+    X, norms = checked_with_norms(X)
     phi = as_matrix(phi)
     if phi.shape[1] != X.shape[0]:
         raise ShapeError(
@@ -369,7 +355,7 @@ def check_draws(n: int, n2: int, distinct: bool, name: str = "n") -> None:
 def _checked(D: np.ndarray, n: int, distinct: bool):
     """``D`` and its column norms, from one pass over it, its entries
     checked, then ``n`` draws from it (``check_draws``)."""
-    D, norms = as_matrix_with_norms(D)
+    D, norms = checked_with_norms(D)
     check_draws(n, D.shape[1], distinct)
     return D, norms
 

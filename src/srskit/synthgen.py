@@ -55,6 +55,8 @@ class SubspaceSpec:
         """All subspaces share dimension total_rank / n_subspaces."""
         if n_subspaces < 1:
             raise BadDimsError("n_subspaces must be >= 1")
+        if not fits_array(max(ambient, 1), n_subspaces):  # before any tuple is built
+            raise BadDimsError("ambient x columns is more than an array can hold")
         if total_rank % n_subspaces != 0:
             raise BadDimsError(
                 f"total rank {total_rank} not divisible by {n_subspaces}"

@@ -7,12 +7,14 @@ from srskit import (
     ShapeError,
     SketchResult,
     ZeroColumnError,
+    _parallel,
     approximation_error,
     as_matrix,
     column_norms_ok,
     normalize_columns,
     numerical_rank,
 )
+from srskit.matrix import column_norms
 
 
 def test_as_matrix_basic():
@@ -51,6 +53,18 @@ def test_sketch_result_distinct_unless_replacement():
         SketchResult(np.array([0, 0]), cols, "srs")
     r = SketchResult(np.array([0, 0]), cols, "srs_repl", with_replacement=True)
     assert r.indices[0] == r.indices[1]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("workers", [2, 3])
+def test_column_norms_do_not_depend_on_the_split(monkeypatch, order, workers):
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 1 << 10)
+    rng = np.random.default_rng(workers)
+    X = rng.standard_normal((37, 501)) * rng.uniform(1e-3, 1e3, size=501)
+    X = np.asarray(X, order=order)
+    serial = np.sqrt(np.einsum("ij,ij->j", X, X))
+    monkeypatch.setattr(_parallel, "workers", lambda: workers)
+    assert np.array_equal(column_norms(X), serial)
 
 
 def test_normalize_columns_unit_and_idempotent():

@@ -1,14 +1,17 @@
-"""Memory contracts: generators and matrix checks hold no hidden copy.
+"""Memory contracts: generators, matrix checks and the projection error hold
+no hidden copy.
 
 Each bound is in the shapes of the call; ``traced_peak`` measures the
 peak ``tracemalloc`` sees above its base.
 """
 
 import numpy as np
+import pytest
 
 from srskit import (
     ArcSpec,
     SubspaceSpec,
+    approximation_error,
     as_matrix,
     gen_arc_clusters,
     gen_union_subspaces,
@@ -45,3 +48,14 @@ def test_normalize_columns_holds_its_output_and_norms(traced_peak):
     X = np.random.default_rng(0).standard_normal((100, 20_000))
     got, peak = traced_peak(normalize_columns, X)
     assert peak <= got.nbytes + 2 * 8 * X.shape[1] + SLACK
+
+
+@pytest.mark.parametrize("n", [100, 1000])
+def test_approximation_error_holds_one_residual(traced_peak, n):
+    # a least-squares solve held an n x N2 coefficient matrix: 3 times the
+    # input at n = 100, 20 times at n = 1,000
+    D = np.random.default_rng(0).standard_normal((100, 20_000))
+    C = np.ascontiguousarray(D[:, :n])
+    _, peak = traced_peak(approximation_error, D, C)
+    # the residual, U^T D (rank x N2, at most D's size) and the SVD of C
+    assert peak <= 2 * D.nbytes + 4 * C.nbytes + SLACK

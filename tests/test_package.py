@@ -1,10 +1,41 @@
 """The package namespace and its module structure."""
 
 import ast
+import importlib
+import importlib.util
 import types
 from pathlib import Path
 
 import srskit
+
+
+def perfbench_layers():
+    """The ``LAYERS`` table of ``perfbench/layers.py``: layer -> its
+    ``module:attribute`` targets."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.LAYERS
+
+
+def resolves(target):
+    """Whether ``module:attr.path`` names an attribute; nothing is wrapped."""
+    modname, attr = target.split(":")
+    owner = importlib.import_module(modname)
+    for part in attr.split("."):
+        owner = getattr(owner, part, None)
+        if owner is None:
+            return False
+    return True
+
+
+def test_every_benchmark_layer_resolves_a_target():
+    # a layer none of whose targets resolves is reported absent, and its
+    # metrics change shape; renaming a traced name breaks the benchmark
+    absent = [layer for layer, targets in perfbench_layers().items()
+              if not any(map(resolves, targets))]
+    assert absent == []
 
 
 def test_star_import_binds_the_public_attributes_that_are_not_modules():

@@ -26,6 +26,7 @@ from srskit import (
     ArcSpec,
     ArgumentError,
     ClusterLabels,
+    InternalError,
     NotNormalizedError,
     ShapeError,
     TooManySamplesError,
@@ -343,6 +344,58 @@ def test_screen_finds_the_exact_winner_seeded(monkeypatch, cut):
             assert list(got) == brute_force_picks(X, phi, with_replacement)
 
 
+def spoiled_matmul(monkeypatch, spoil):
+    """Patch ``np.matmul`` so that ``spoil(out)`` follows each product."""
+    real = np.matmul
+
+    def matmul(a, b, out=None):
+        out = real(a, b, out=out)
+        spoil(out)
+        return out
+
+    monkeypatch.setattr(np, "matmul", matmul)
+
+
+def split_screen_case(monkeypatch, layout, workers, seed):
+    """Unit columns and directions whose screen is split over ``workers``."""
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 1 << 10)
+    monkeypatch.setattr(_parallel, "workers", lambda: workers)
+    set_layout(monkeypatch, layout)
+    rng = np.random.default_rng(seed)
+    return (normalize_columns(rng.standard_normal((5, 400))),
+            rng.standard_normal((2 * ROWS, 5)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layout", [(ROWS, None), (ROWS, 5)], ids=["rows", "tiles"])
+def test_a_non_finite_screen_is_an_internal_error(monkeypatch, layout, workers):
+    # a GEMM that yields NaN from finite inputs is a bug, not bad input: the
+    # values are checked, on whichever worker reduces them
+    X, phi = split_screen_case(monkeypatch, layout, workers, 5)
+    spoiled_matmul(monkeypatch, lambda out: out.__setitem__((-1, -1), np.nan))
+    for with_replacement in (False, True):
+        with pytest.raises(InternalError, match="non-finite"):
+            srs_select_indices(X, phi, with_replacement=with_replacement)
+    assert not issubclass(InternalError, srskit.SrskitError)
+
+
+def raise_invalid_flag(out):
+    np.multiply(np.inf, 0.0)  # sets the FPU's invalid flag; the result is dropped
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("layout", [(ROWS, None), (ROWS, 5)], ids=["rows", "tiles"])
+def test_an_invalid_flag_of_the_screen_gemm_is_not_a_warning(
+        monkeypatch, layout, workers):
+    # the screen's values are checked, so numpy's invalid flag after its GEMM
+    # (which a BLAS may raise on finite data) warns of nothing, on any worker
+    X, phi = split_screen_case(monkeypatch, layout, workers, 6)
+    want = [srs_select_indices(X, phi, with_replacement=r) for r in (False, True)]
+    spoiled_matmul(monkeypatch, raise_invalid_flag)
+    got = [srs_select_indices(X, phi, with_replacement=r) for r in (False, True)]
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 # unit columns of a few exactly representable kinds (one +-1, or four
 # +-1/2), so phi . X with small integer phi is exact in any summation
 # order and the blocked and dense products agree bit for bit
@@ -617,7 +670,7 @@ def test_split_norms_are_the_serial_norms(monkeypatch, order, workers):
     rng = np.random.default_rng(workers)
     X = rng.standard_normal((37, 501)) * rng.uniform(1e-3, 1e3, size=501)
     X = np.asarray(X, order=order)
-    D, norms = samplers.as_matrix_with_norms(X)
+    D, norms = srskit.matrix.checked_with_norms(X)
     assert D is X
     assert np.array_equal(norms, column_norms(X))
 

@@ -153,6 +153,16 @@ def test_subspace_homogeneous_needs_a_subspace(n_subspaces):
         SubspaceSpec.homogeneous(8, 0, n_subspaces, 5)
 
 
+@pytest.mark.parametrize("ambient, total_rank, n_subspaces", [
+    (8, 2**63, 2**63), (8, 2**62, 2**61), (0, 2**63, 2**63)],
+    ids=["2**63", "2**61", "ambient-0"])
+def test_subspace_homogeneous_past_any_array_is_bad_dims(
+        ambient, total_rank, n_subspaces):
+    # (populations,) * n_subspaces ended in OverflowError, or MemoryError
+    with pytest.raises(BadDimsError, match="more than an array can hold"):
+        SubspaceSpec.homogeneous(ambient, total_rank, n_subspaces, 5)
+
+
 # ---------------------------------------------------------------------------
 # bitwise pins: the generators write in place, with the draws and the bits
 # of the block-by-block construction they replaced
