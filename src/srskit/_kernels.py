@@ -108,6 +108,12 @@ def top_two(q: np.ndarray):
     return k, t, s
 
 
+def candidate_cut(top: np.ndarray, tol: np.ndarray, dtype) -> np.ndarray:
+    """Per row, the least screen value a pick may have: ``top - tol`` in
+    float64, rounded to the screen's ``dtype`` and one step down."""
+    return np.nextafter((top - tol).astype(dtype), -np.inf)
+
+
 def pick_argmax(absq: np.ndarray, tol: np.ndarray, score) -> np.ndarray:
     """Row-wise argmax of a screen of absolute projections.
 
@@ -119,9 +125,7 @@ def pick_argmax(absq: np.ndarray, tol: np.ndarray, score) -> np.ndarray:
     is written to and restored.
     """
     best, top, second = top_two(absq)
-    # top - tol in float64, rounded to the screen's dtype and then one step
-    # down, so the cut is never above it
-    cut = np.nextafter((top - tol).astype(absq.dtype), -np.inf)
+    cut = candidate_cut(top, tol, absq.dtype)
     near = np.flatnonzero(second >= cut)  # a second candidate
     # settle a few rows at a time, so the candidate mask stays far smaller
     # than the block

@@ -36,7 +36,7 @@ from .matrix import (
     as_matrix,
     check_rel_tol,
     check_unit_columns,
-    checked_with_norms,
+    checked_with_squares,
     normalize_columns,
     numerical_rank,
 )
@@ -171,14 +171,14 @@ def _spatial_fractions(X, labels: ClusterLabels, T: int, rng, by_cluster: bool):
     the lowest cluster id: selection then sees the columns sorted by
     cluster.
     """
-    X = check_unit_columns(*checked_with_norms(X))
+    X = check_unit_columns(*checked_with_squares(X))
     check_draws(T, X.shape[1], distinct=False, name="T")
     _check_labels(labels, X)
     order = np.argsort(labels.values, kind="stable") if by_cluster else slice(None)
-    ids = labels.values[order]
+    ids = ClusterLabels(labels.values[order], labels.n_clusters)
     select = spatial_selector(X[:, order], T, with_replacement=True)
     picks = select(lambda a, b: sample_gaussian_directions(b - a, X.shape[0], rng))
-    return sum(np.bincount(ids[p], minlength=labels.n_clusters) for p in picks) / T
+    return sum(ids.counts(p) for p in picks) / T
 
 
 def estimate_region_areas(X: np.ndarray, labels: ClusterLabels, T: int,
@@ -252,10 +252,8 @@ def coverage_experiment(D: np.ndarray, labels: ClusterLabels, specs, n: int,
     for spec in specs:
         spec = dataclasses.replace(spec, n=n)
         for t, sketch in _trials(D, spec, trials, master_seed):
-            counts = np.bincount(labels.values[sketch.indices],
-                                 minlength=labels.n_clusters)
             rows += [(t, spec.method, n, cl, float(c))
-                     for cl, c in enumerate(counts)]
+                     for cl, c in enumerate(labels.counts(sketch.indices))]
     return ExperimentReport(
         tuple(rows),
         {"experiment": "coverage", "seed": master_seed, "trials": trials, "n": n},
@@ -438,8 +436,7 @@ def lemma_empirical(which: str, arc_spec: ArcSpec, m: int, delta: float,
     # the arcs are sampled as generated, unit up to rounding: normalizing
     # them again would change their bits, and so could change a near-tie
     hits = sum(
-        int(np.bincount(labels.values[sketch.indices],
-                        minlength=labels.n_clusters).min() >= m)
+        int(labels.counts(sketch.indices).min() >= m)
         for _, sketch in _trials(D, spec, trials, master_seed, prepare=False)
     )
     return bound, hits / trials

@@ -353,9 +353,8 @@ def _cmd_eval_error(args, echo):
 def _cmd_eval_coverage(args, echo):
     labels = load_labels(args.labels, n_clusters=args.n_clusters)
     idx = _load_indices_below(args.indices, len(labels), "labels")
-    counts = np.bincount(labels.values[idx], minlength=labels.n_clusters)
     lines = ["cluster,count"]
-    lines += [f"{cl},{int(c)}" for cl, c in enumerate(counts)]
+    lines += [f"{cl},{int(c)}" for cl, c in enumerate(labels.counts(idx))]
     return _emit_lines(lines, echo, args)
 
 

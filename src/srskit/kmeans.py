@@ -61,5 +61,4 @@ def balanced_centers_check(
 
     A center belongs to the cluster of its nearest data column.
     """
-    owners = labels.values[assign_to_columns(centers, D)]
-    return np.unique(owners).size == labels.n_clusters
+    return bool(labels.counts(assign_to_columns(centers, D)).all())

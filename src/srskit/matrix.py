@@ -26,29 +26,41 @@ DEFAULT_RANK_TOL = 1e-8
 NORM_TOL = 1e-6
 
 
-def column_norms(X: np.ndarray) -> np.ndarray:
-    """l2-norm of every column of ``X``, in column spans across workers
-    (``_parallel.map_spans``); a column's norm does not depend on its span."""
-    squares = np.concatenate(_parallel.map_spans(
+def column_squares(X: np.ndarray) -> np.ndarray:
+    """Sum of squares of every column of ``X``, in column spans across workers
+    (``_parallel.map_spans``); a column's sum does not depend on its span."""
+    return np.concatenate(_parallel.map_spans(
         lambda a, b: np.einsum("ij,ij->j", X[:, a:b], X[:, a:b]), X, 1))
-    return np.sqrt(squares, out=squares)
 
 
-def checked_with_norms(values) -> tuple[np.ndarray, np.ndarray]:
-    """``as_matrix(values)`` and its column norms: one pass.
+def column_norms(X: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
+    """l2-norm of every column of ``X``, the roots of its sums of squares
+    ``squares`` (by default ``column_squares(X)``); a sum out of float64's
+    normal range is taken again from its column scaled by a power of two."""
+    sq = column_squares(X) if squares is None else squares
+    norms = np.sqrt(sq)
+    lost = np.flatnonzero((sq < np.finfo(np.float64).tiny) | (sq == np.inf))
+    e = np.frexp(np.abs(X[:, lost]).max(axis=0, initial=0.0))[1]
+    Y = np.ldexp(X[:, lost], -e)
+    norms[lost] = np.ldexp(np.sqrt(np.einsum("ij,ij->j", Y, Y)), e)
+    return norms
 
-    A finite sum of squares proves its column finite, so the entries are
-    checked one by one only when a norm is not: an entry is not, or its
-    square overflows (which passes)."""
+
+def checked_with_squares(values) -> tuple[np.ndarray, np.ndarray]:
+    """``as_matrix(values)`` and its column sums of squares: one pass.
+
+    A finite sum proves its column finite, so the entries are checked one
+    by one only when a sum is not: an entry is not, or its square
+    overflows (which passes)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ShapeError(f"matrix must be at least 1x1, got {arr.shape}")
-    col_norms = column_norms(arr)
-    if not (np.isfinite(col_norms).all() or np.isfinite(arr).all()):
+    squares = column_squares(arr)
+    if not (np.isfinite(squares).all() or np.isfinite(arr).all()):
         raise ShapeError("matrix contains non-finite entries")
-    return arr, col_norms
+    return arr, squares
 
 
 def fits_array(rows: int, cols: int = 1) -> bool:
@@ -60,7 +72,7 @@ def fits_array(rows: int, cols: int = 1) -> bool:
 def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a validated 2-D float64 matrix; ShapeError when
     it is not 2-D, is empty or has a non-finite entry."""
-    return checked_with_norms(values)[0]
+    return checked_with_squares(values)[0]
 
 
 @dataclass(frozen=True)
@@ -87,9 +99,10 @@ class ClusterLabels:
     def __len__(self):
         return self.values.size
 
-    def counts(self) -> np.ndarray:
-        """Population of each cluster, length n_clusters."""
-        return np.bincount(self.values, minlength=self.n_clusters)
+    def counts(self, idx=slice(None)) -> np.ndarray:
+        """Per-cluster count, length n_clusters, of the columns ``idx`` (a
+        repeat counts again), by default of every column."""
+        return np.bincount(self.values[idx], minlength=self.n_clusters)
 
 
 @dataclass(frozen=True)
@@ -133,10 +146,11 @@ def spec_rng(rng: np.random.Generator | None, spec) -> np.random.Generator:
 def normalize_columns(D: np.ndarray) -> np.ndarray:
     """Scale every column of ``D`` to unit l2-norm.
 
-    Raises ZeroColumnError for the first column whose norm is exactly
+    Raises ZeroColumnError for the first column whose entries are all
     zero; near-zero but nonzero columns are normalized as usual.
     """
-    D, norms = checked_with_norms(D)
+    D, norms = checked_with_squares(D)
+    norms = column_norms(D, norms)  # one name: the sums go before D / norms
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroColumnError(int(zero[0]))
@@ -148,20 +162,15 @@ def column_norms_ok(X: np.ndarray, tol: float = NORM_TOL) -> bool:
     return bool(np.all(np.abs(column_norms(np.asarray(X, float)) - 1.0) <= tol))
 
 
-def check_unit_columns(X: np.ndarray, norms: np.ndarray | None = None) -> np.ndarray:
-    """Return ``X``; raise NotNormalizedError when a column norm is off 1
-    by > NORM_TOL.
-
-    ``norms`` are the column norms of ``X`` when the caller has them.
-    """
-    if norms is None:
-        norms = column_norms(X)
-    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOL)
+def check_unit_columns(X: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Return ``X``; raise NotNormalizedError when a column norm, the plain
+    root of its sum of squares in ``squares``, is off 1 by > NORM_TOL (a
+    sum out of float64's range is far from 1)."""
+    bad = np.flatnonzero(np.abs(np.sqrt(squares) - 1.0) > NORM_TOL)
     if bad.size:
         j = int(bad[0])
-        raise NotNormalizedError(
-            f"column {j} has norm {norms[j]:.6g}; call normalize_columns first"
-        )
+        raise NotNormalizedError(f"column {j} has norm {np.sqrt(squares[j]):.6g}; "
+                                 "call normalize_columns first")
     return X
 
 
@@ -208,7 +217,11 @@ def approximation_error(D: np.ndarray, C: np.ndarray) -> float:
         raise ShapeError(
             f"sketch has {C.shape[0]} rows, data has {D.shape[0]}"
         )
-    denom = np.linalg.norm(D)
+    with np.errstate(over="ignore"):
+        denom = np.linalg.norm(D)
+    if not np.finfo(np.float64).tiny <= denom < np.inf:  # 0, subnormal or inf
+        D = np.ldexp(D, -np.frexp(np.abs(D).max())[1])  # exact: max in [1/2, 1)
+        denom = np.linalg.norm(D)
     if denom == 0.0:
         return 0.0
     U, sv, _ = np.linalg.svd(C, full_matrices=False)

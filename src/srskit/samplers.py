@@ -32,7 +32,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from . import _parallel, matrix
+from . import _kernels, _parallel, matrix
 from ._kernels import exact_abs_dots, pick_argmax, pick_distinct_argmax, top_two
 from .errors import (
     ArgumentError,
@@ -48,7 +48,7 @@ from .matrix import (
     SketchResult,
     as_matrix,
     check_unit_columns,
-    checked_with_norms,
+    checked_with_squares,
     fits_array,
     singular_value_rank,
     spec_rng,
@@ -279,8 +279,7 @@ def spatial_selector(X: np.ndarray, n: int, with_replacement: bool):
                     yield pick_distinct_argmax(q, taken, tol, score)
                 continue
             best, top, second = _top_two(phi_c, Xs, cols)
-            # pick_argmax's cut: top - tol, rounded down to the screen's dtype
-            cut = np.nextafter((top - tol).astype(dtype), -np.inf)
+            cut = _kernels.candidate_cut(top, tol, dtype)
 
             def screen(r):
                 # whole rows, each worker filling its span of them
@@ -321,13 +320,13 @@ def srs_select_indices(
     the dense n x N2 matrix, plus a float32 copy of X when it has
     ``_FLOAT32_MIN_N1`` rows or more.  X is checked in one pass over it.
     """
-    X, norms = checked_with_norms(X)
+    X, squares = checked_with_squares(X)
     phi = as_matrix(phi)
     if phi.shape[1] != X.shape[0]:
         raise ShapeError(
             f"phi has {phi.shape[1]} columns, data has {X.shape[0]} rows"
         )
-    check_unit_columns(X, norms)
+    check_unit_columns(X, squares)
     n = phi.shape[0]
     check_draws(n, X.shape[1], distinct=not with_replacement)
     return _picks(spatial_selector(X, n, with_replacement), lambda a, b: phi[a:b])
@@ -353,11 +352,11 @@ def check_draws(n: int, n2: int, distinct: bool, name: str = "n") -> None:
 
 
 def _checked(D: np.ndarray, n: int, distinct: bool):
-    """``D`` and its column norms, from one pass over it, its entries
-    checked, then ``n`` draws from it (``check_draws``)."""
-    D, norms = checked_with_norms(D)
+    """``D`` and its column sums of squares, from one pass over it, its
+    entries checked, then ``n`` draws from it (``check_draws``)."""
+    D, squares = checked_with_squares(D)
     check_draws(n, D.shape[1], distinct)
-    return D, norms
+    return D, squares
 
 
 def _bind_srs(X: np.ndarray, n: int, with_replacement: bool):
@@ -382,8 +381,8 @@ def _bind_ris(D: np.ndarray, n: int, with_replacement: bool):
 
 
 def _bind_norm(D: np.ndarray, n: int, squared: bool):
-    D, norms = _checked(D, n, distinct=False)
-    w = np.einsum("ij,ij->j", D, D) if squared else norms
+    D, squares = _checked(D, n, distinct=False)
+    w = squares if squared else matrix.column_norms(D, squares)
     total = w.sum()
     if total == 0.0:
         raise ZeroMatrixError("all columns have zero norm")
@@ -416,10 +415,10 @@ def _volume_residuals(D, Q, idx, cols):
 
 
 def _bind_volume(D: np.ndarray, n: int):
-    D, norms = _checked(D, n, distinct=True)
+    D, sq = _checked(D, n, distinct=True)
     N1, n2 = D.shape
     tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
-    sq = np.einsum("ij,ij->j", D, D)
+    norms = matrix.column_norms(D, sq)
     cols = max(1, _parallel.TILE_BYTES // (8 * N1))
     # an update rounds res_sq[j] by about u (res_sq[j] + |b . d_j| ||d_j||):
     # the GEMV, b's departure from orthogonality, and the subtraction

@@ -40,6 +40,56 @@ from srskit.cli import main as cli_main
 from test_srs_properties import naive_spatial_pick
 
 
+def cli_runs(tmp):
+    """(argv, output paths) of a run of every CLI subcommand, in order, with
+    every file under the directory ``tmp``; a later run reads the files of
+    an earlier one."""
+    mat, lab = tmp / "D.csv", tmp / "L.csv"
+    smat, slab = tmp / "S.csv", tmp / "SL.csv"
+    idx, cols, ev = tmp / "i.csv", tmp / "c.csv", tmp / "ev.csv"
+    rep, svg = tmp / "rep.csv", tmp / "rep.svg"
+    runs = [
+        (["gen", "arcs", "--tau1", 1.2, "--tau2", 0.6, "--n1", 60, "--n2", 40,
+          "--seed", 3, "--out-matrix", mat, "--out-labels", lab], [mat, lab]),
+        (["gen", "subspaces", "--ambient", 8, "--dims", "2,2",
+          "--pops", "10,10", "--seed", 4, "--out-matrix", smat,
+          "--out-labels", slab], [smat, slab]),
+    ]
+    # the baselines and an embedded srs sketch, on the subspaces; srs last,
+    # as the runs after it read its indices
+    for extra in (["--method", "leverage"], ["--method", "volume"],
+                  ["--method", "norm"],
+                  ["--method", "srs", "--embed", "sparse", "--embed-dim", 4,
+                   "--embed-seed", 12]):
+        runs.append((["sketch", "--matrix", smat, *extra, "--n", 6, "--seed", 13,
+                      "--out-indices", idx, "--out-columns", cols], [idx, cols]))
+    runs += [
+        (["sketch", "--matrix", mat, "--method", "srs", "--n", 9, "--seed", 5,
+          "--out-indices", idx, "--out-columns", cols], [idx, cols]),
+        (["eval", "rank", "--matrix", mat, "--out", ev], [ev]),
+        (["eval", "error", "--matrix", mat, "--indices", idx, "--out", ev], [ev]),
+        (["eval", "coverage", "--labels", lab, "--indices", idx, "--out", ev],
+         [ev]),
+        (["exp", "rank-curve", "--matrix", mat, "--methods", "srs,ris",
+          "--grid", "2,5,9", "--trials", 2, "--seed", 6, "--out", rep,
+          "--svg", svg], [rep, svg]),
+        (["exp", "coverage", "--matrix", mat, "--labels", lab,
+          "--methods", "srs,ris", "--n", 8, "--trials", 2, "--seed", 7,
+          "--out", rep, "--svg", svg], [rep, svg]),
+        (["exp", "probability", "--matrix", mat, "--labels", lab,
+          "--draws", 500, "--seed", 8, "--estimator", "both", "--out", rep],
+         [rep]),
+        (["exp", "bounds", "--which", "lemma3", "--m", 2, "--delta", 0.1,
+          "--empirical", "--tau1", 1.2, "--tau2", 0.6, "--arc-n1", 60,
+          "--arc-n2", 40, "--data-seed", 9, "--trials", 20, "--seed", 10,
+          "--out", rep], [rep]),
+        (["exp", "kmeans", "--matrix", mat, "--labels", lab, "--k", 2,
+          "--sketch-n", 10, "--seeds", 2, "--seed", 11, "--restarts", 3,
+          "--out", rep], [rep]),
+    ]
+    return [([str(a) for a in argv], outputs) for argv, outputs in runs]
+
+
 def verdict(capsys, num, name, ok, detail):
     status = "PASS" if ok else "FAIL"
     with capsys.disabled():
@@ -241,61 +291,11 @@ def test_criterion_7_property_suite(capsys, tmp_path):
     def run_twice(argv, outputs):
         blobs = []
         for _ in range(2):
-            assert cli_main([str(a) for a in argv]) == 0
+            assert cli_main(argv) == 0
             blobs.append(tuple(p.read_bytes() for p in outputs))
         return blobs[0] == blobs[1]
 
-    mat, lab = tmp_path / "D.csv", tmp_path / "L.csv"
-    checks.append(run_twice(
-        ["gen", "arcs", "--tau1", 1.2, "--tau2", 0.6, "--n1", 60, "--n2", 40,
-         "--seed", 3, "--out-matrix", mat, "--out-labels", lab],
-        [mat, lab]))
-    smat, slab = tmp_path / "S.csv", tmp_path / "SL.csv"
-    checks.append(run_twice(
-        ["gen", "subspaces", "--ambient", 8, "--dims", "2,2",
-         "--pops", "10,10", "--seed", 4, "--out-matrix", smat,
-         "--out-labels", slab],
-        [smat, slab]))
-    idx, cols = tmp_path / "i.csv", tmp_path / "c.csv"
-    checks.append(run_twice(
-        ["sketch", "--matrix", mat, "--method", "srs", "--n", 9, "--seed", 5,
-         "--out-indices", idx, "--out-columns", cols],
-        [idx, cols]))
-    ev = tmp_path / "ev.csv"
-    checks.append(run_twice(
-        ["eval", "rank", "--matrix", mat, "--out", ev], [ev]))
-    checks.append(run_twice(
-        ["eval", "error", "--matrix", mat, "--indices", idx, "--out", ev],
-        [ev]))
-    checks.append(run_twice(
-        ["eval", "coverage", "--labels", lab, "--indices", idx, "--out", ev],
-        [ev]))
-    rep, svg = tmp_path / "rep.csv", tmp_path / "rep.svg"
-    checks.append(run_twice(
-        ["exp", "rank-curve", "--matrix", mat, "--methods", "srs,ris",
-         "--grid", "2,5,9", "--trials", 2, "--seed", 6, "--out", rep,
-         "--svg", svg],
-        [rep, svg]))
-    checks.append(run_twice(
-        ["exp", "coverage", "--matrix", mat, "--labels", lab,
-         "--methods", "srs,ris", "--n", 8, "--trials", 2, "--seed", 7,
-         "--out", rep, "--svg", svg],
-        [rep, svg]))
-    checks.append(run_twice(
-        ["exp", "probability", "--matrix", mat, "--labels", lab,
-         "--draws", 500, "--seed", 8, "--estimator", "both", "--out", rep],
-        [rep]))
-    checks.append(run_twice(
-        ["exp", "bounds", "--which", "lemma3", "--m", 2, "--delta", 0.1,
-         "--empirical", "--tau1", 1.2, "--tau2", 0.6, "--arc-n1", 60,
-         "--arc-n2", 40, "--data-seed", 9, "--trials", 20, "--seed", 10,
-         "--out", rep],
-        [rep]))
-    checks.append(run_twice(
-        ["exp", "kmeans", "--matrix", mat, "--labels", lab, "--k", 2,
-         "--sketch-n", 10, "--seeds", 2, "--seed", 11, "--restarts", 3,
-         "--out", rep],
-        [rep]))
+    checks += [run_twice(argv, outputs) for argv, outputs in cli_runs(tmp_path)]
 
     dt = time.perf_counter() - t0
     ok = all(checks)

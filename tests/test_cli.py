@@ -5,10 +5,17 @@ stderr diagnostics can be asserted directly.
 """
 
 import argparse
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_acceptance import cli_runs
 
+import srskit
 from srskit import load_csv, load_indices, load_labels, load_report, save_csv
 from srskit.cli import main
 
@@ -123,6 +130,35 @@ def test_sketch_zero_column_drop_flag(tmp_path, capsys):
     picked = set(load_indices(idx))
     # indices refer to the original matrix; the zero column is never picked
     assert picked <= {0, 2, 3}
+
+
+def test_sketch_of_columns_whose_squares_leave_the_range(tmp_path, capsys):
+    # rows "1.0,1e200" and "2.0,1e200": the squares of column 1 overflow
+    mat, idx, cols = tmp_path / "m.csv", tmp_path / "i.csv", tmp_path / "c.csv"
+    mat.write_text("1.0,1e200\n2.0,1e200\n")
+    assert run("sketch", "--matrix", mat, "--method", "srs", "--n", 2, "--seed", 1,
+               "--out-indices", idx, "--out-columns", cols) == 0
+    assert sorted(load_indices(idx)) == [0, 1]
+    assert np.array_equal(load_csv(cols)[:, list(load_indices(idx)).index(1)],
+                          [1e200, 1e200])
+    # the squares of column 1 round to 0, and it is not a zero column
+    mat.write_text("1.0,3e-170,0.0\n0.0,4e-170,0.0\n")
+    assert run("sketch", "--matrix", mat, "--method", "srs", "--n", 2, "--seed", 1,
+               "--drop-zero-columns", "--out-indices", idx) == 0
+    assert sorted(load_indices(idx)) == [0, 1]
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("scale", ["", "e-170", "e160"])
+def test_eval_error_does_not_depend_on_the_scale(tmp_path, capsys, scale):
+    mat, idx = tmp_path / "m.csv", tmp_path / "i.csv"
+    mat.write_text(f"3{scale},1{scale},2{scale}\n1{scale},4{scale},1{scale}\n")
+    idx.write_text("0\n")
+    assert run("eval", "error", "--matrix", mat, "--indices", idx) == 0
+    out, err = capsys.readouterr()
+    value = float(out.splitlines()[1].removeprefix("error,"))
+    assert value == pytest.approx(0.6174544517614234, rel=1e-14)
+    assert err == ""
 
 
 def test_sketch_embedding_flags(tmp_path):
@@ -926,3 +962,42 @@ def test_negative_seed_exits_one_before_writing(tmp_path, capsys, argv):
     assert capsys.readouterr().err == (
         "ArgumentError: seed must be a non-negative integer\n")
     assert list(out.iterdir()) == []
+
+
+# the acceptance runs in a fresh interpreter with its worker count forced to
+# argv[1]; prints, per run, the bytes of its outputs (as latin-1 text)
+CONTRACT_SCRIPT = """
+import json, sys
+from pathlib import Path
+from srskit import _parallel
+from srskit.cli import main
+_parallel.workers = lambda: int(sys.argv[1])
+out = []
+for argv, outputs in json.load(sys.stdin):
+    assert main(argv) == 0, argv
+    out.append([Path(p).read_bytes().decode("latin-1") for p in outputs])
+print(json.dumps(out))
+"""
+
+# outputs that are bitwise only on a rerun in one environment (README,
+# "Determinism"): eval error's value is a BLAS reduction
+RERUN_ONLY = {("eval", "error")}
+
+
+def test_outputs_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(srskit.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = [(argv, [str(p) for p in outputs]) for argv, outputs in cli_runs(Path())]
+    got = []
+    for threads, workers in (("1", "2"), ("2", "1")):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        (tmp_path / threads).mkdir()
+        done = subprocess.run(
+            [sys.executable, "-c", CONTRACT_SCRIPT, workers], env=env, check=True,
+            input=json.dumps(runs), cwd=tmp_path / threads, capture_output=True,
+            text=True, timeout=300)
+        got.append(json.loads(done.stdout))
+    differ = [" ".join(argv[:2]) for (argv, _), a, b in zip(runs, *got)
+              if tuple(argv[:2]) not in RERUN_ONLY and a != b]
+    assert differ == []
+    assert len(got[0]) == len(runs)

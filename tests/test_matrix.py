@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,3 +147,41 @@ def test_approximation_error_nested_monotone():
 def test_numerical_rank_needs_finite_positive_rel_tol(rel_tol):
     with pytest.raises(ValueError, match=r"^rel_tol must be finite and > 0$"):
         numerical_rank(np.eye(3), rel_tol=rel_tol)
+
+
+# nonzero columns whose sums of squares leave float64's normal range:
+# they overflow, round to 0, or are subnormal
+OUT_OF_RANGE = {"overflow": [1e200, 1e200], "zero": [3e-170, 4e-170],
+                "subnormal": [1.234e-160, 3.1e-161], "tiny": [5e-324, 0.0]}
+
+
+@pytest.mark.parametrize("col", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_norms_out_of_range_are_taken_again(col):
+    # the normal column beside them keeps the bits of its plain root
+    D = np.array([[3.0, col[0]], [4.0, col[1]]])
+    norms = column_norms(D)
+    assert norms[0] == 5.0
+    assert norms[1] == pytest.approx(math.hypot(*col), rel=4e-16)
+    X = normalize_columns(D)
+    assert np.array_equal(X[:, 0], [0.6, 0.8])
+    assert column_norms_ok(X, tol=4e-16)
+
+
+def test_a_column_is_zero_only_when_its_entries_are():
+    D = np.array([[3e-170, 0.0, 1.0], [4e-170, 0.0, 0.0]])
+    assert list(column_norms(D) > 0.0) == [True, False, True]
+    with pytest.raises(ZeroColumnError) as info:
+        normalize_columns(D)
+    assert info.value.column == 1
+    # no rows: every norm is 0
+    assert np.array_equal(column_norms(np.empty((0, 3))), np.zeros(3))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-300, 1e160, 1e300])
+def test_approximation_error_does_not_depend_on_the_scale(scale):
+    # ||D||_F underflows to 0, or overflows (with a warning, which fails)
+    D = np.array([[3.0, 1.0, 2.0], [1.0, 4.0, 1.0]])
+    want = approximation_error(D, D[:, :1])
+    assert want == 0.6174544517614234
+    got = approximation_error(D * scale, D[:, :1] * scale)
+    assert got == pytest.approx(want, rel=1e-14)

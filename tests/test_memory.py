@@ -1,8 +1,8 @@
-"""Memory contracts: generators, matrix checks and the projection error hold
-no hidden copy.
+"""Memory contracts: every public operation holds no hidden copy.
 
 Each bound is in the shapes of the call; ``traced_peak`` measures the
-peak ``tracemalloc`` sees above its base.
+peak ``tracemalloc`` sees above its base.  Beside a bound is the peak
+measured, as a multiple of the call's matrix.
 """
 
 import numpy as np
@@ -10,15 +10,43 @@ import pytest
 
 from srskit import (
     ArcSpec,
+    ClusterLabels,
+    EmbeddingSpec,
+    SamplerSpec,
     SubspaceSpec,
+    _parallel,
+    apply_embedding,
     approximation_error,
     as_matrix,
+    build_embedding,
+    empirical_sampling_probabilities,
+    estimate_region_areas,
     gen_arc_clusters,
     gen_union_subspaces,
+    kmeans,
+    load_csv,
     normalize_columns,
+    sample_columns,
+    save_csv,
 )
+from srskit.embedding import KINDS
 
 SLACK = 64 << 10
+N1, N2 = 100, 20_000
+# a few vectors of length N2 (sums of squares, weights, masks, labels)
+VECTORS = 4 * 8 * N2
+
+
+@pytest.fixture(scope="module")
+def data():
+    """An N1 x N2 matrix, its unit columns and 4 interleaved clusters."""
+    D = np.random.default_rng(0).standard_normal((N1, N2))
+    return D, normalize_columns(D), ClusterLabels(np.arange(N2) % 4, 4)
+
+
+def tiles():
+    """The screen's tile buffers: at most one per worker."""
+    return _parallel.workers() * _parallel.TILE_BYTES
 
 
 def test_union_of_subspaces_holds_one_copy(traced_peak):
@@ -59,3 +87,84 @@ def test_approximation_error_holds_one_residual(traced_peak, n):
     _, peak = traced_peak(approximation_error, D, C)
     # the residual, U^T D (rank x N2, at most D's size) and the SVD of C
     assert peak <= 2 * D.nbytes + 4 * C.nbytes + SLACK
+
+
+# method -> whether it samples the unit columns, and its bound beside the
+# few vectors and the slack, for n picks
+SAMPLER_BOUNDS = {
+    # the float32 copy of X, the tiles and the sketch: 0.64 times D
+    "srs": (True, lambda n: 4 * N1 * N2 + tiles() + 8 * N1 * n),
+    "srs_repl": (True, lambda n: 4 * N1 * N2 + tiles() + 8 * N1 * n),
+    # the sketch: 0.03 times D
+    "ris": (False, lambda n: 8 * N1 * n),
+    "norm": (False, lambda n: 8 * N1 * n),
+    # V^T of the thin SVD, U and the sketch: 1.04 times D
+    "leverage": (False, lambda n: 8 * N1 * N2 + 8 * N1 * (N1 + n)),
+    # the basis, a block of residuals and the sketch: 0.10 times D
+    "volume": (False, lambda n: 2 * _parallel.TILE_BYTES + 8 * N1 * (N1 + n)),
+}
+
+
+@pytest.mark.parametrize("method", SAMPLER_BOUNDS)
+def test_each_sampler_holds_its_sketch_and_bounded_work(traced_peak, data, method):
+    D, X, _ = data
+    unit, bound = SAMPLER_BOUNDS[method]
+    n = 100 if method == "volume" else 400
+    spec = SamplerSpec(method, n, seed=1)
+    result, peak = traced_peak(sample_columns, X if unit else D, spec)
+    assert result.columns.shape == (N1, n)
+    assert peak <= bound(n) + VECTORS + SLACK
+
+
+def test_kmeans_holds_two_copies_and_one_group_of_scores(traced_peak, data):
+    # the points in rows, Lloyd's residuals and a restart group's scores,
+    # which fit one tile: 2.03 times D
+    D = data[0]
+    centers, peak = traced_peak(kmeans, D, 10, np.random.default_rng(1),
+                                max_iters=5, restarts=2)
+    assert centers.shape == (N1, 10)
+    assert peak <= 2 * D.nbytes + _parallel.TILE_BYTES + VECTORS + SLACK
+
+
+@pytest.mark.parametrize("estimator, sorted_copy", [
+    # the columns sorted by cluster too: 1.66 times X
+    (estimate_region_areas, True),
+    # 0.64 times X
+    (empirical_sampling_probabilities, False),
+], ids=["region_areas", "empirical_probabilities"])
+def test_region_estimators_hold_the_screen_copy(traced_peak, data, estimator,
+                                                sorted_copy):
+    _, X, labels = data
+    fractions, peak = traced_peak(estimator, X, labels, 500, np.random.default_rng(2))
+    assert fractions.shape == (4,)
+    copy = X.nbytes if sorted_copy else 0
+    assert peak <= copy + 4 * N1 * N2 + tiles() + VECTORS + SLACK
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_embedding_holds_its_output(traced_peak, data, kind):
+    # S (and, while it is drawn, a p x N1 array of draws) and S D: 0.20
+    # times D at p = 20
+    D, p = data[0], 20
+    spec = EmbeddingSpec(kind, p, seed=3)
+    out, peak = traced_peak(lambda: apply_embedding(build_embedding(spec, N1), D))
+    assert out.shape == (p, N2)
+    assert peak <= out.nbytes + 3 * 8 * p * N1 + SLACK
+
+
+@pytest.mark.parametrize("shape", [(100, 300), (20, 1500), (10, 3000)])
+def test_csv_round_trip_holds_a_row_of_text_at_a_time(traced_peak, tmp_path, shape):
+    # 30,000 values in a 0.59 MB file, below the thresholds of a split
+    # save (32,768 values) and load (1 MiB): no fork, so tracemalloc sees
+    # all the work
+    D = np.random.default_rng(4).standard_normal(shape)
+    path = tmp_path / "m.csv"
+    # a row's Python floats, their reprs and its line: 0.19 to 1.63 times D
+    _, peak = traced_peak(save_csv, D, path)
+    assert peak <= 160 * D.shape[1] + SLACK
+    assert path.stat().st_size < 1 << 20
+    line = max(map(len, path.read_bytes().splitlines()))
+    # the result and the reader's copies of a line: 1.41 to 3.60 times D
+    got, peak = traced_peak(load_csv, path)
+    assert np.array_equal(got, D)
+    assert peak <= D.nbytes + 12 * line + SLACK

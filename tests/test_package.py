@@ -162,3 +162,42 @@ def test_only_the_parallel_module_forks_or_starts_threads():
     assert {name: uses for name, uses in found.items() if uses} == {}
     # the guard sees each of them where they belong, and NOWHERE nowhere
     assert here == PARALLEL_ONLY
+
+
+# each numeric rule in one home, read from the sources with ast
+
+def attribute_lines(node, attr):
+    """The lines of each ``….attr`` read in ``node``, ``np.einsum`` say."""
+    return [n.lineno for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and n.attr == attr]
+
+
+def definition(module, name):
+    """The ``def`` or ``class`` named ``name`` in srskit module ``module``."""
+    return next(node for node in ast.walk(TREES[module])
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name == name)
+
+
+def homes(attr):
+    """Module -> the lines where it reads ``….attr``, for modules that do."""
+    found = {name: attribute_lines(tree, attr) for name, tree in TREES.items()}
+    return {name: lines for name, lines in found.items() if lines}
+
+
+def test_binders_take_the_sums_of_squares_of_the_checked_pass():
+    # a second pass over D for them rounded the same sums again
+    for binder in ("_bind_norm", "_bind_volume"):
+        assert attribute_lines(definition("samplers", binder), "einsum") == []
+
+
+def test_the_candidate_cut_has_one_home():
+    cut = attribute_lines(definition("_kernels", "candidate_cut"), "nextafter")
+    assert len(cut) == 1
+    assert homes("nextafter") == {"_kernels": cut}
+
+
+def test_per_cluster_counts_come_from_cluster_labels():
+    counts = attribute_lines(definition("matrix", "ClusterLabels"), "bincount")
+    assert len(counts) == 1
+    assert homes("bincount") == {"matrix": counts}
