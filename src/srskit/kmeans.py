@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels, _parallel
 from .errors import TooManySamplesError, check_count
-from .matrix import ClusterLabels, as_matrix
+from .matrix import ClusterLabels, checked_with_squares, in_range, pow2_scaled
 
 
 def check_kmeans_args(n2: int, k: int, restarts: int, max_iters: int):
@@ -28,7 +28,7 @@ def check_kmeans_args(n2: int, k: int, restarts: int, max_iters: int):
 def kmeans(D: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100,
            restarts: int = 10) -> np.ndarray:
     """Cluster the columns of ``D``; returns the k centers as columns."""
-    D = as_matrix(D)
+    D, _, by = in_range(*checked_with_squares(D))  # centers scaled back
     n2 = D.shape[1]
     check_kmeans_args(n2, k, restarts, max_iters)
     points = np.ascontiguousarray(D.T)
@@ -44,14 +44,14 @@ def kmeans(D: np.ndarray, k: int, rng: np.random.Generator, max_iters: int = 100
         if inertia[j] < best_inertia:
             best_inertia = inertia[j]
             best_centers = centers[j]
-    return best_centers.T.copy()
+    return pow2_scaled(best_centers, by=-by)[0].T.copy()
 
 
 def assign_to_columns(centers: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Index of the nearest data column for each center (ties: lowest)."""
-    centers = as_matrix(centers)
-    D = as_matrix(D)
-    return _kernels.nearest(centers.T, D.T)
+    centers = checked_with_squares(centers)[0]
+    D, _, by = in_range(*checked_with_squares(D))  # centers by D's power
+    return _kernels.nearest(pow2_scaled(centers, by=by)[0].T, D.T)
 
 
 def balanced_centers_check(

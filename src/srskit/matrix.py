@@ -33,16 +33,43 @@ def column_squares(X: np.ndarray) -> np.ndarray:
         lambda a, b: np.einsum("ij,ij->j", X[:, a:b], X[:, a:b]), X, 1))
 
 
+def pow2_scaled(A: np.ndarray, axis: int | None = None, by=None):
+    """``(A * 2**by, by)``, exact where normal; by default ``by`` brings the
+    largest |entry| of each column (``axis`` 0), row (1) or of ``A`` (None)
+    into [1/2, 1).  ``pow2_scaled(B, by=-by)`` scales back."""
+    if by is None:  # max and -min: no |A| temporary
+        by = -np.frexp(np.maximum(A.max(axis, keepdims=True, initial=0.0),
+                                  -A.min(axis, keepdims=True, initial=0.0)))[1]
+    return np.ldexp(A, by), by
+
+
+# A matrix (in_range) or column (column_norms) whose largest sum of squares
+# lies here keeps its sums of squares, squared distances, their totals over
+# 2^400 columns and rounding bounds to 2^-400 of them normal in float64
+SQUARES_RANGE = (2.0**-512, 2.0**512)
+
+
+def in_range(X: np.ndarray, squares: np.ndarray):
+    """``(X, squares, 0)`` if X's largest column sum of squares lies in
+    SQUARES_RANGE; else X scaled by ``pow2_scaled``, its sums and ``by``."""
+    if SQUARES_RANGE[0] <= squares.max() <= SQUARES_RANGE[1]:
+        return X, squares, 0
+    X, by = pow2_scaled(X)
+    return X, column_squares(X), by
+
+
 def column_norms(X: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray:
     """l2-norm of every column of ``X``, the roots of its sums of squares
-    ``squares`` (by default ``column_squares(X)``); a sum out of float64's
-    normal range is taken again from its column scaled by a power of two."""
+    ``squares`` (by default ``column_squares(X)``); a sum outside
+    SQUARES_RANGE is taken again from its column scaled by a power of two."""
     sq = column_squares(X) if squares is None else squares
     norms = np.sqrt(sq)
-    lost = np.flatnonzero((sq < np.finfo(np.float64).tiny) | (sq == np.inf))
-    e = np.frexp(np.abs(X[:, lost]).max(axis=0, initial=0.0))[1]
-    Y = np.ldexp(X[:, lost], -e)
-    norms[lost] = np.ldexp(np.sqrt(np.einsum("ij,ij->j", Y, Y)), e)
+    lost = np.flatnonzero((sq < SQUARES_RANGE[0]) | (sq > SQUARES_RANGE[1]))
+    step = max(1, _parallel.TILE_BYTES // max(1, 8 * X.shape[0]))
+    for a in range(0, lost.size, step):  # a tile at a time
+        j = lost[a : a + step]
+        Y, by = pow2_scaled(X.take(j, axis=1), axis=0)  # C order: sums as X's
+        norms[j] = pow2_scaled(np.sqrt(column_squares(Y)), by=-by[0])[0]
     return norms
 
 
@@ -154,7 +181,12 @@ def normalize_columns(D: np.ndarray) -> np.ndarray:
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroColumnError(int(zero[0]))
-    return D / norms
+    out = D / norms
+    sub = np.flatnonzero(norms < np.finfo(np.float64).tiny)  # norms that lost bits
+    if sub.size:  # divided as their columns' scaled copies
+        Y = pow2_scaled(D.take(sub, axis=1), axis=0)[0]
+        out[:, sub] = Y / column_norms(Y)
+    return out
 
 
 def column_norms_ok(X: np.ndarray, tol: float = NORM_TOL) -> bool:
@@ -169,7 +201,8 @@ def check_unit_columns(X: np.ndarray, squares: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(np.abs(np.sqrt(squares) - 1.0) > NORM_TOL)
     if bad.size:
         j = int(bad[0])
-        raise NotNormalizedError(f"column {j} has norm {np.sqrt(squares[j]):.6g}; "
+        norm = float(np.sqrt(squares[j]))  # repr: all its digits
+        raise NotNormalizedError(f"column {j} has norm {norm!r}; "
                                  "call normalize_columns first")
     return X
 
@@ -209,19 +242,15 @@ def approximation_error(D: np.ndarray, C: np.ndarray) -> float:
     U^T D and one array of D's shape.  Raises EmptySketchError when C has
     no columns and ShapeError on a row-count mismatch.
     """
-    D = as_matrix(D)
+    D = in_range(*checked_with_squares(D))[0]  # scale-free: rescaled out of range
     if C.ndim != 2 or C.shape[1] == 0:
         raise EmptySketchError("sketch has no columns")
-    C = as_matrix(C)
+    C = in_range(*checked_with_squares(C))[0]  # the same span
     if C.shape[0] != D.shape[0]:
         raise ShapeError(
             f"sketch has {C.shape[0]} rows, data has {D.shape[0]}"
         )
-    with np.errstate(over="ignore"):
-        denom = np.linalg.norm(D)
-    if not np.finfo(np.float64).tiny <= denom < np.inf:  # 0, subnormal or inf
-        D = np.ldexp(D, -np.frexp(np.abs(D).max())[1])  # exact: max in [1/2, 1)
-        denom = np.linalg.norm(D)
+    denom = np.linalg.norm(D)
     if denom == 0.0:
         return 0.0
     U, sv, _ = np.linalg.svd(C, full_matrices=False)

@@ -266,8 +266,7 @@ def spatial_selector(X: np.ndarray, n: int, with_replacement: bool):
             # entry lies in [1/2, 1); a screen entry of a unit column is then
             # within tol[i] / 2 of its exact_abs_dots score, and the best score
             # of row i within tol[i] of the row's largest screen entry
-            phi_b = directions(start, min(n, start + rows))
-            phi_b = np.ldexp(phi_b, -np.frexp(np.abs(phi_b).max(axis=1))[1][:, None])
+            phi_b = matrix.pow2_scaled(directions(start, min(n, start + rows)), 1)[0]
             tol = rel * np.sqrt(np.einsum("ij,ij->i", phi_b, phi_b)) + eta
             score = partial(exact_abs_dots, phi_b, X)
             phi_c = phi_b.astype(dtype, copy=False)
@@ -382,7 +381,8 @@ def _bind_ris(D: np.ndarray, n: int, with_replacement: bool):
 
 def _bind_norm(D: np.ndarray, n: int, squared: bool):
     D, squares = _checked(D, n, distinct=False)
-    w = squares if squared else matrix.column_norms(D, squares)
+    S, squares, _ = matrix.in_range(D, squares)  # weights of D, in range
+    w = squares if squared else matrix.column_norms(S, squares)
     total = w.sum()
     if total == 0.0:
         raise ZeroMatrixError("all columns have zero norm")
@@ -416,9 +416,10 @@ def _volume_residuals(D, Q, idx, cols):
 
 def _bind_volume(D: np.ndarray, n: int):
     D, sq = _checked(D, n, distinct=True)
+    S, sq, _ = matrix.in_range(D, sq)  # the draws read S, the sketch D
     N1, n2 = D.shape
-    tol_sq = (1e-10 * np.linalg.norm(D)) ** 2
-    norms = matrix.column_norms(D, sq)
+    tol_sq = (1e-10 * np.linalg.norm(S)) ** 2
+    norms = matrix.column_norms(S, sq)
     cols = max(1, _parallel.TILE_BYTES // (8 * N1))
     # an update rounds res_sq[j] by about u (res_sq[j] + |b . d_j| ||d_j||):
     # the GEMV, b's departure from orthogonality, and the subtraction
@@ -442,7 +443,7 @@ def _bind_volume(D: np.ndarray, n: int):
                 # a draw or the exhaustion test: recompute those estimates
                 redo = np.flatnonzero(active & (err > 1e-6 * res_sq.max()))
                 if redo.size:
-                    res_sq[redo] = _volume_residuals(D, Q, redo, cols)
+                    res_sq[redo] = _volume_residuals(S, Q, redo, cols)
                     err[redo] = 0.0
                 if res_sq.max(initial=0.0) <= tol_sq:
                     if m:
@@ -456,12 +457,12 @@ def _bind_volume(D: np.ndarray, n: int):
                     cum = np.cumsum(res_sq[pos])
                     slot = np.searchsorted(cum, uniforms[t] * cum[-1], side="right")
                     j = int(pos[min(slot, pos.size - 1)])
-                    b = _orth(Q, D[:, j])
+                    b = _orth(Q, S[:, j])
                     b /= np.linalg.norm(b)
                     basis[:, m] = b
                     m += 1
                     # b is orthogonal to the earlier basis, so b . r_j = b . d_j
-                    c = b @ D
+                    c = b @ S
                     err += u * (res_sq + np.abs(c) * norms)
                     res_sq -= np.multiply(c, c, out=c)
                     np.maximum(res_sq, 0.0, out=res_sq)

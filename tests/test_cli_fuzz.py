@@ -39,8 +39,8 @@ SEED = values(-1, 0, 1, 2**63, 10**21)
 FLOAT = values(-1.0, 0.0, 0.3, 0.6, 1.0, 4.0, 1e-320, 1e308, "nan", "inf", "-inf")
 LIST = values("6,6", "2,2", "0", "-1", f"{N2},1", f"1,{N2 + 1}", f"2,{2**63}",
               f"1,{10**21}", ",")
-FILES = ("matrix", "labels", "indices", "columns", "zero", "empty", "bad",
-         "missing")
+FILES = ("matrix", "huge", "tiny", "labels", "indices", "columns", "zero", "empty",
+         "bad", "missing")
 INPUTS = ("--matrix", "--labels", "--indices", "--columns")
 
 
@@ -59,6 +59,9 @@ def files(tmp_path_factory):
     save_labels(labels, paths["labels"])
     paths["indices"].write_text("3\n0\n11\n")
     save_csv(D[:, [3, 0]], paths["columns"])
+    # the matrix past float64's range for its squares, both ways
+    save_csv(D * 2.0**600, paths["huge"])
+    save_csv(D * 2.0**-600, paths["tiny"])
     D[:, 5] = 0.0
     save_csv(D, paths["zero"])
     paths["empty"].write_text("# nothing\n")

@@ -17,6 +17,7 @@ from srskit import (
     _parallel,
     apply_embedding,
     approximation_error,
+    assign_to_columns,
     as_matrix,
     build_embedding,
     empirical_sampling_probabilities,
@@ -168,3 +169,55 @@ def test_csv_round_trip_holds_a_row_of_text_at_a_time(traced_peak, tmp_path, sha
     got, peak = traced_peak(load_csv, path)
     assert np.array_equal(got, D)
     assert peak <= D.nbytes + 12 * line + SLACK
+
+
+# D scaled by 2^-600: its squares underflow, so each scale-free operation
+# scales it back into float64's range first, and may hold one scaled copy
+# of D beyond its in-range bound, but no |D| temporary.  Each result is
+# that of D itself, so the rescaled path is the one measured.
+TINY = 2.0**-600
+
+
+@pytest.mark.parametrize("method", ["norm", "volume"])
+def test_rescaled_samplers_hold_one_scaled_copy_more(traced_peak, data, method):
+    D = data[0]
+    n = 100 if method == "volume" else 400
+    spec = SamplerSpec(method, n, seed=1)
+    result, peak = traced_peak(sample_columns, D * TINY, spec)
+    assert np.array_equal(result.indices, sample_columns(D, spec).indices)
+    assert peak <= SAMPLER_BOUNDS[method][1](n) + VECTORS + SLACK + D.nbytes
+
+
+def test_rescaled_kmeans_holds_one_scaled_copy_more(traced_peak, data):
+    D = data[0]
+    args = dict(k=10, max_iters=5, restarts=2)
+    centers, peak = traced_peak(kmeans, D * TINY, rng=np.random.default_rng(1), **args)
+    assert np.array_equal(centers / TINY, kmeans(D, rng=np.random.default_rng(1), **args))
+    assert peak <= 3 * D.nbytes + _parallel.TILE_BYTES + VECTORS + SLACK
+
+
+def test_rescaled_assign_to_columns_holds_one_scaled_copy_more(traced_peak, data):
+    # in range, the (N2, k) scores of one GEMM and their candidate mask: 0.14
+    # times D
+    D = data[0]
+    centers = np.ascontiguousarray(D[:, :10])
+    labels, peak = traced_peak(assign_to_columns, centers * TINY, D * TINY)
+    assert np.array_equal(labels, np.arange(10))
+    assert peak <= 2 * 8 * 10 * N2 + VECTORS + SLACK + D.nbytes
+
+
+def test_rescaled_approximation_error_holds_one_scaled_copy_more(traced_peak, data):
+    # at 2^-530 ||D||_F is normal, but the squares under it are not: the
+    # error read 0
+    D = data[0]
+    C = np.ascontiguousarray(D[:, :10])
+    got, peak = traced_peak(approximation_error, D * 2.0**-530, C * 2.0**-530)
+    assert got == pytest.approx(approximation_error(D, C), rel=1e-14, abs=0.0)
+    assert peak <= 3 * D.nbytes + 4 * C.nbytes + SLACK
+
+
+def test_rescaled_normalize_columns_holds_one_scaled_copy_more(traced_peak, data):
+    D, X, _ = data
+    got, peak = traced_peak(normalize_columns, D * TINY)
+    assert np.array_equal(got, X)
+    assert peak <= got.nbytes + 2 * 8 * N2 + SLACK + D.nbytes

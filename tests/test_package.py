@@ -201,3 +201,12 @@ def test_per_cluster_counts_come_from_cluster_labels():
     counts = attribute_lines(definition("matrix", "ClusterLabels"), "bincount")
     assert len(counts) == 1
     assert homes("bincount") == {"matrix": counts}
+
+
+def test_float64_range_has_one_home():
+    # three hand-written power-of-two rescales tested the range two ways
+    helper = definition("matrix", "pow2_scaled")
+    for attr in ("frexp", "ldexp"):
+        lines = attribute_lines(helper, attr)
+        assert len(lines) == 1
+        assert homes(attr) == {"matrix": lines}

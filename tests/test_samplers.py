@@ -90,6 +90,13 @@ def test_srs_requires_unit_columns():
         srs_without_replacement(X, 1, np.random.default_rng(0))
 
 
+def test_a_norm_just_past_the_tolerance_is_printed_in_full():
+    # printed to 6 digits, a norm of 1 + 3e-6 read "has norm 1"
+    X = np.array([[1.0 + 3e-6, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotNormalizedError, match=r"column 0 has norm 1\.000003;"):
+        srs_without_replacement(X, 1, np.random.default_rng(0))
+
+
 def test_srs_too_many_samples():
     X = np.eye(3)
     with pytest.raises(TooManySamplesError):
