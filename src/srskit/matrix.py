@@ -28,9 +28,15 @@ NORM_TOL = 1e-6
 
 def column_squares(X: np.ndarray) -> np.ndarray:
     """Sum of squares of every column of ``X``, in column spans across workers
-    (``_parallel.map_spans``); a column's sum does not depend on its span."""
-    return np.concatenate(_parallel.map_spans(
-        lambda a, b: np.einsum("ij,ij->j", X[:, a:b], X[:, a:b]), X, 1))
+    (``_parallel.map_spans``) of at least two columns, as numpy sums a
+    one-column view of a tall X in another order; so a column's sum does
+    not depend on its span.  In C order, X is summed row by row."""
+
+    def span(a, b):  # a last span of one column is summed with the one before
+        c = max(0, min(a, b - 2))
+        return np.einsum("ij,ij->j", X[:, c:b], X[:, c:b])[a - c :]
+
+    return np.concatenate(_parallel.map_spans(span, X, 2))
 
 
 def pow2_scaled(A: np.ndarray, axis: int | None = None, by=None):
@@ -76,10 +82,12 @@ def column_norms(X: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray
 def checked_with_squares(values) -> tuple[np.ndarray, np.ndarray]:
     """``as_matrix(values)`` and its column sums of squares: one pass.
 
-    A finite sum proves its column finite, so the entries are checked one
-    by one only when a sum is not: an entry is not, or its square
-    overflows (which passes)."""
-    arr = np.asarray(values, dtype=np.float64)
+    The matrix is C-ordered, a copy unless ``values`` is, so that the sums
+    and every result taken from them depend on its values alone, not on
+    its memory layout.  A finite sum proves its column finite, so the
+    entries are checked one by one only when a sum is not: an entry is
+    not, or its square overflows (which passes)."""
+    arr = np.asarray(values, dtype=np.float64, order="C")
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -150,7 +158,8 @@ class SketchResult:
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         object.__setattr__(self, "indices", idx)
-        if self.columns.shape[1] != idx.size:
+        object.__setattr__(self, "columns", np.asarray(self.columns))
+        if self.columns.shape[1:] != (idx.size,):
             raise ShapeError("columns count must equal number of indices")
         if not self.with_replacement and np.unique(idx).size != idx.size:
             raise ShapeError("indices must be distinct without replacement")
@@ -190,8 +199,9 @@ def normalize_columns(D: np.ndarray) -> np.ndarray:
 
 
 def column_norms_ok(X: np.ndarray, tol: float = NORM_TOL) -> bool:
-    """True when every column norm is within ``tol`` of 1."""
-    return bool(np.all(np.abs(column_norms(np.asarray(X, float)) - 1.0) <= tol))
+    """True when every column norm of the checked matrix ``X`` is within
+    ``tol`` of 1; ShapeError when X is not a finite 2-D matrix."""
+    return bool(np.all(np.abs(column_norms(*checked_with_squares(X)) - 1.0) <= tol))
 
 
 def check_unit_columns(X: np.ndarray, squares: np.ndarray) -> np.ndarray:
@@ -240,10 +250,11 @@ def approximation_error(D: np.ndarray, C: np.ndarray) -> float:
     Computes ||D - U U^T D||_F / ||D||_F, U the left singular vectors of C
     above ``lstsq``'s cut (eps max(C.shape) times the largest); it holds
     U^T D and one array of D's shape.  Raises EmptySketchError when C has
-    no columns and ShapeError on a row-count mismatch.
+    no columns, and ShapeError when D or C is not a finite 2-D matrix or on
+    a row-count mismatch.
     """
     D = in_range(*checked_with_squares(D))[0]  # scale-free: rescaled out of range
-    if C.ndim != 2 or C.shape[1] == 0:
+    if np.ndim(C) == 2 and np.shape(C)[1] == 0:
         raise EmptySketchError("sketch has no columns")
     C = in_range(*checked_with_squares(C))[0]  # the same span
     if C.shape[0] != D.shape[0]:

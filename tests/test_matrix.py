@@ -57,6 +57,13 @@ def test_sketch_result_distinct_unless_replacement():
     assert r.indices[0] == r.indices[1]
 
 
+def test_sketch_result_takes_columns_as_a_list():
+    r = SketchResult(np.array([0]), [[1.0]], "x")
+    assert isinstance(r.columns, np.ndarray) and r.columns.shape == (1, 1)
+    with pytest.raises(ShapeError):
+        SketchResult(np.array([0]), [1.0], "x")
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("workers", [2, 3])
 def test_column_norms_do_not_depend_on_the_split(monkeypatch, order, workers):
@@ -130,6 +137,24 @@ def test_approximation_error_empty_sketch():
 def test_approximation_error_shape_mismatch():
     with pytest.raises(ShapeError):
         approximation_error(np.eye(3), np.eye(2))
+
+
+def test_approximation_error_checks_the_sketch_first():
+    # C is read only after the one check: a list is a matrix, and a 1-D or
+    # 3-D C is not 2-D, not a sketch without columns
+    D = np.eye(2)
+    assert approximation_error(D, [[1.0], [0.0]]) == approximation_error(
+        D, np.array([[1.0], [0.0]]))
+    for C in (np.ones(2), np.ones((2, 1, 1))):
+        with pytest.raises(ShapeError, match="2-D"):
+            approximation_error(D, C)
+
+
+def test_column_norms_ok_checks_its_matrix():
+    assert column_norms_ok([[0.6], [0.8]])
+    for X in (np.ones(3), [[np.nan], [1.0]], [[np.inf, 1.0]]):
+        with pytest.raises(ShapeError):
+            column_norms_ok(X)
 
 
 def test_approximation_error_nested_monotone():

@@ -210,3 +210,18 @@ def test_float64_range_has_one_home():
         lines = attribute_lines(helper, attr)
         assert len(lines) == 1
         assert homes(attr) == {"matrix": lines}
+
+
+def string_lines(node, part):
+    """The lines of each string constant in ``node`` that holds ``part``."""
+    return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Constant)
+            and isinstance(n.value, str) and part in n.value]
+
+
+def test_each_svg_element_kind_has_one_writer():
+    # ten hand-written <text> and <line> f-strings spelled the same elements
+    for part, writer in (("<text ", "_text"), ("<line ", "_line")):
+        lines = string_lines(definition("plots", writer), part)
+        assert len(lines) == 1
+        found = {name: string_lines(tree, part) for name, tree in TREES.items()}
+        assert {name: at for name, at in found.items() if at} == {"plots": lines}

@@ -33,11 +33,13 @@ from srskit import (
     _parallel,
     estimate_region_areas,
     gen_arc_clusters,
+    norm_sampling,
     normalize_columns,
     samplers,
     srs_select_indices,
     srs_with_replacement,
     srs_without_replacement,
+    volume_sampling,
 )
 from srskit.matrix import column_norms
 
@@ -342,6 +344,72 @@ def test_screen_finds_the_exact_winner_seeded(monkeypatch, cut):
         for with_replacement in (False, True):
             got = srs_select_indices(X, phi, with_replacement=with_replacement)
             assert list(got) == brute_force_picks(X, phi, with_replacement)
+
+
+def screen_tol(a):
+    """``spatial_selector``'s ``tol`` of the scaled direction rows ``a``, in
+    the screen's dtype: twice the bound on a screen entry's distance from
+    its exact score, restated here."""
+    n1, u64, kind = a.shape[1], np.finfo(np.float64).eps / 2, np.finfo(a.dtype)
+
+    def gamma(k, u):
+        return k * u / (1 - k * u)
+
+    rel = (2 * (gamma(n1 + 2, kind.eps / 2) + gamma(n1, u64))
+           * (1 + srskit.matrix.NORM_TOL) * (1 + gamma(n1 + 8, u64)))
+    a = a.astype(np.float64)
+    return rel * np.sqrt(np.einsum("ij,ij->i", a, a)) + 16 * n1 * float(kind.tiny)
+
+
+ABS_PRODUCT = samplers._abs_product
+
+
+def adversarial_screen(monkeypatch, X, phi, picks, signs=None):
+    """Patch ``samplers._abs_product``: each screen entry becomes its exact
+    score moved by half of ``tol``, down for its row's winner (``picks``)
+    and up for every rival, or by random ``signs`` (a Generator), and is
+    rounded to the screen's dtype, as a GEMM's output is.  X and phi must
+    be float32-exact, so that the screen's rows and columns are theirs."""
+    scaled = srskit.matrix.pow2_scaled(phi, 1)[0]  # the rows screened
+    row = {r.tobytes(): i for i, r in enumerate(scaled)}
+
+    def screen(a, b, q):
+        q = ABS_PRODUCT(a, b, q)
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        r, c = np.indices(q.shape).reshape(2, -1)
+        exact = srskit._kernels.exact_abs_dots(a64, b64, r, c).reshape(q.shape)
+        if signs is None:  # b's first column in the screen's copy of X
+            owner = b if b.base is None else b.base
+            first = (b.ctypes.data - owner.ctypes.data) // b.itemsize
+            won = np.array([picks[row[x.tobytes()]] for x in a64]) - first
+            sign = np.where(np.arange(q.shape[1]) == won[:, None], -1.0, 1.0)
+        else:
+            sign = signs.choice([-1.0, 1.0], size=q.shape)
+        q[...] = np.maximum(exact + sign * screen_tol(a)[:, None] / 2, 0.0)
+        return q
+
+    monkeypatch.setattr(samplers, "_abs_product", screen)
+
+
+@settings(deadline=None, max_examples=150, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(near_tie_instances(), st.sampled_from(LAYOUTS), st.integers(1, 3))
+def test_a_screen_off_by_half_its_tol_finds_the_exact_winner(
+        monkeypatch, instance, layout, workers):
+    # the screen's bound, met at its edge in the worst direction: a smaller
+    # tol, or a candidate cut not stepped down after its rounding, fails.
+    # N1 runs from 2 to 6, so both the float64 screen (below
+    # _FLOAT32_MIN_N1) and the float32 one are met
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 1 << 6)
+    monkeypatch.setattr(_parallel, "workers", lambda: workers)
+    set_layout(monkeypatch, layout)
+    X, phi = (np.asarray(m, np.float32).astype(np.float64) for m in instance)
+    for with_replacement in (False, True):
+        want = brute_force_picks(X, phi, with_replacement)
+        for signs in (None, np.random.default_rng(len(want))):
+            adversarial_screen(monkeypatch, X, phi, want, signs)
+            got = srs_select_indices(X, phi, with_replacement=with_replacement)
+            assert list(got) == want
 
 
 def spoiled_matmul(monkeypatch, spoil):
@@ -671,8 +739,53 @@ def test_split_norms_are_the_serial_norms(monkeypatch, order, workers):
     X = rng.standard_normal((37, 501)) * rng.uniform(1e-3, 1e3, size=501)
     X = np.asarray(X, order=order)
     D, squares = srskit.matrix.checked_with_squares(X)
-    assert D is X
-    assert np.array_equal(np.sqrt(squares), column_norms(X))
+    # a C-ordered X is not copied; any other is, once, into C order
+    assert (D is X) == (order == "C")
+    assert D.flags.c_contiguous and np.array_equal(D, X)
+    assert np.array_equal(np.sqrt(squares), column_norms(D))
+
+
+def layouts(rng, n1, n2):
+    """One n1 x n2 matrix in four memory layouts: C order, Fortran order,
+    the fancy-indexed columns of a wider matrix and the transpose of its
+    C-ordered transpose."""
+    wide = rng.standard_normal((n1, 2 * n2)) * rng.uniform(1e-3, 1e3, 2 * n2)
+    picked = wide[:, rng.permutation(2 * n2)[:n2]]
+    return [np.ascontiguousarray(picked), np.asfortranarray(picked), picked,
+            np.ascontiguousarray(picked.T).T]
+
+
+def test_results_do_not_depend_on_memory_layout():
+    # numpy sums a C-ordered matrix row by row and a column of any other
+    # layout in an order of its own; the check makes every matrix C-ordered
+    rng = np.random.default_rng(31)
+    results = []
+    for D in layouts(rng, 37, 3001):
+        X = normalize_columns(D)
+        sketches = [srs_without_replacement(X, 40, np.random.default_rng(1)),
+                    srs_with_replacement(X, 40, np.random.default_rng(2))]
+        results.append([
+            srskit.matrix.checked_with_squares(D)[1], X,
+            norm_sampling(D, 40, np.random.default_rng(3)).indices,
+            volume_sampling(D, 40, np.random.default_rng(4)).indices,
+            *(s.indices for s in sketches), *(s.columns for s in sketches)])
+    for got in results[1:]:
+        assert all(np.array_equal(g, w) for g, w in zip(got, results[0]))
+
+
+@pytest.mark.parametrize("n1", [2, 1000, 200_000])
+def test_column_sums_do_not_depend_on_worker_count(monkeypatch, n1):
+    # numpy sums a one-column view of a tall matrix in another order than
+    # a wider one, so no span is narrower than two columns
+    monkeypatch.setattr(_parallel, "TILE_BYTES", 16)
+    rng = np.random.default_rng(n1)
+    for n2 in range(1, 10):
+        X = rng.standard_normal((n1, n2))
+        monkeypatch.setattr(_parallel, "workers", lambda: 1)
+        want = srskit.matrix.column_squares(X)
+        for workers in (2, 3, 4):
+            monkeypatch.setattr(_parallel, "workers", lambda: workers)
+            assert np.array_equal(srskit.matrix.column_squares(X), want)
 
 
 def copied_columns(n1, rng):
