@@ -72,10 +72,10 @@ def column_norms(X: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray
     norms = np.sqrt(sq)
     lost = np.flatnonzero((sq < SQUARES_RANGE[0]) | (sq > SQUARES_RANGE[1]))
     step = max(1, _parallel.TILE_BYTES // max(1, 8 * X.shape[0]))
-    for a in range(0, lost.size, step):  # a tile at a time
-        j = lost[a : a + step]
-        Y, by = pow2_scaled(X.take(j, axis=1), axis=0)  # C order: sums as X's
-        norms[j] = pow2_scaled(np.sqrt(column_squares(Y)), by=-by[0])[0]
+    for a in range(0, lost.size, step):  # a tile at a time, a lone column
+        j = lost[a : a + step]  # twice: numpy sums one column alone in another order
+        Y, by = pow2_scaled(X.take(np.resize(j, max(2, j.size)), axis=1), axis=0)
+        norms[j] = pow2_scaled(np.sqrt(column_squares(Y)), by=-by[0])[0][: j.size]
     return norms
 
 
@@ -192,9 +192,9 @@ def normalize_columns(D: np.ndarray) -> np.ndarray:
         raise ZeroColumnError(int(zero[0]))
     out = D / norms
     sub = np.flatnonzero(norms < np.finfo(np.float64).tiny)  # norms that lost bits
-    if sub.size:  # divided as their columns' scaled copies
-        Y = pow2_scaled(D.take(sub, axis=1), axis=0)[0]
-        out[:, sub] = Y / column_norms(Y)
+    if sub.size:  # divided as their columns' scaled copies, a lone one twice
+        Y = pow2_scaled(D.take(np.resize(sub, max(2, sub.size)), axis=1), axis=0)[0]
+        out[:, sub] = (Y / column_norms(Y))[:, : sub.size]
     return out
 
 

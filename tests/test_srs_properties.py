@@ -746,13 +746,16 @@ def test_split_norms_are_the_serial_norms(monkeypatch, order, workers):
 
 
 def layouts(rng, n1, n2):
-    """One n1 x n2 matrix in four memory layouts: C order, Fortran order,
-    the fancy-indexed columns of a wider matrix and the transpose of its
-    C-ordered transpose."""
+    """One n1 x n2 matrix in four memory layouts: C order, the Fortran
+    order numpy gives the fancy-indexed columns of a wider matrix, every
+    other column of a wider C-ordered matrix and every other row of a
+    taller Fortran-ordered one."""
     wide = rng.standard_normal((n1, 2 * n2)) * rng.uniform(1e-3, 1e3, 2 * n2)
     picked = wide[:, rng.permutation(2 * n2)[:n2]]
-    return [np.ascontiguousarray(picked), np.asfortranarray(picked), picked,
-            np.ascontiguousarray(picked.T).T]
+    assert picked.flags.f_contiguous and not picked.flags.c_contiguous
+    strided = [np.zeros((n1, 2 * n2)), np.zeros((2 * n1, n2), order="F")]
+    strided[0][:, ::2] = strided[1][::2] = picked
+    return [np.ascontiguousarray(picked), picked, strided[0][:, ::2], strided[1][::2]]
 
 
 def test_results_do_not_depend_on_memory_layout():
@@ -786,6 +789,19 @@ def test_column_sums_do_not_depend_on_worker_count(monkeypatch, n1):
         for workers in (2, 3, 4):
             monkeypatch.setattr(_parallel, "workers", lambda: workers)
             assert np.array_equal(srskit.matrix.column_squares(X), want)
+
+
+@pytest.mark.parametrize("n1", [1000, 200_000])
+def test_a_retaken_norm_does_not_depend_on_its_neighbours(n1):
+    # numpy sums a one-column array in another order than a wider one, so
+    # a norm retaken from a scaled copy (a sum out of range, a subnormal
+    # norm) took other bits when no neighbour was retaken with it
+    X = np.random.default_rng(n1).standard_normal((n1, 3))
+    for scale in (2.0**600, 2.0**-600, 2.0**-1040):
+        alone, paired = X * [scale, 1, 1], X * [scale, scale, 1]
+        assert column_norms(alone)[0] == column_norms(paired)[0]
+        assert np.array_equal(normalize_columns(alone)[:, 0],
+                              normalize_columns(paired)[:, 0])
 
 
 def copied_columns(n1, rng):
