@@ -160,13 +160,13 @@ def pick_distinct_argmax(
 
 
 def lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
-    """Lloyd on row-vector points from a (k, d) init, or an (R, k, d) stack
-    of them in lockstep; a run stops when its labels repeat (its centers
-    would recompute bit for bit).  Returns (centers, labels, inertia,
-    iterations), for a stack each per run but the summed iterations.  Only
-    clusters whose members changed are recomputed; an emptied one stays.
+    """Lloyd on row-vector points from an (R, k, d) stack of inits, run in
+    lockstep; a run stops when its labels repeat (its centers would
+    recompute bit for bit).  Returns (centers, labels, inertia, iterations),
+    each per run but the summed iterations.  Only clusters whose members
+    changed are recomputed; an emptied one stays.
     """
-    C = np.array(centers, dtype=np.float64, ndmin=3)
+    C = np.array(centers, dtype=np.float64)
     R, k, _ = C.shape
     norms = np.sqrt(np.einsum("ij,ij->i", points, points))
     labels = np.full((R, points.shape[0]), -1, dtype=np.int64)
@@ -197,6 +197,4 @@ def lloyd(points: np.ndarray, centers: np.ndarray, max_iters: int):
         np.take(C[r], labels[r], axis=0, out=resid, mode="clip")
         np.subtract(points, resid, out=resid)
         inertia[r] = np.einsum("ij,ij->i", resid, resid).sum()
-    if centers.ndim == 3:
-        return C, labels, inertia, iters
-    return C[0], labels[0], float(inertia[0]), iters
+    return C, labels, inertia, iters

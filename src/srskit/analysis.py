@@ -287,9 +287,8 @@ def kmeans_balance_experiment(D: np.ndarray, labels: ClusterLabels, k: int,
         centers = kmeans(D, k, rng, max_iters=max_iters, restarts=restarts)
         ok_full = balanced_centers_check(centers, D, labels)
         sketch = draw(rng)
-        centers = kmeans(
-            D[:, sketch.indices], k, rng, max_iters=max_iters, restarts=restarts
-        )
+        centers = kmeans(D.take(sketch.indices, axis=1), k, rng,
+                         max_iters=max_iters, restarts=restarts)
         ok_sketch = balanced_centers_check(centers, D, labels)
         rows.append((t, "full", D.shape[1], None, float(ok_full)))
         rows.append((t, "srs_sketch", sketch_n, None, float(ok_sketch)))

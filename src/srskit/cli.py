@@ -240,17 +240,13 @@ def _parser():
 # subcommand bodies
 
 
+def _from_flags(cls, args):
+    """The dataclass ``cls`` built from the flags named after its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
+
+
 def _cmd_gen_arcs(args, echo):
-    spec = ArcSpec(
-        tau1=args.tau1,
-        tau2=args.tau2,
-        n1=args.n1,
-        n2=args.n2,
-        center1=args.center1,
-        center2=args.center2,
-        seed=args.seed,
-    )
-    D, labels = gen_arc_clusters(spec)
+    D, labels = gen_arc_clusters(_from_flags(ArcSpec, args))
     save_csv(D, args.out_matrix, comment=echo)
     save_labels(labels, args.out_labels, comment=echo)
     return 0
@@ -276,7 +272,7 @@ def _drop_zero_columns(D):
     keep = np.flatnonzero(column_norms(D) > 0.0)
     if keep.size == 0:
         raise ZeroMatrixError("all columns are zero")
-    return np.ascontiguousarray(D[:, keep]), keep
+    return D.take(keep, axis=1), keep
 
 
 def _cmd_sketch(args, echo):
@@ -313,7 +309,7 @@ def _cmd_sketch(args, echo):
     save_indices(result, args.out_indices, comment=echo)
     if args.out_columns is not None:
         # original-space columns even when sampling ran on an embedding
-        save_csv(D[:, picked], args.out_columns, comment=echo)
+        save_csv(D.take(picked, axis=1), args.out_columns, comment=echo)
     return 0
 
 
@@ -345,7 +341,7 @@ def _cmd_eval_error(args, echo):
     if args.columns is not None:
         C = load_csv(args.columns)
     else:
-        C = D[:, _load_indices_below(args.indices, D.shape[1], "columns")]
+        C = D.take(_load_indices_below(args.indices, D.shape[1], "columns"), axis=1)
     value = approximation_error(D, C)
     return _emit_lines([f"error,{value!r}"], echo, args)
 
@@ -431,12 +427,7 @@ def _cmd_exp_probability(args, echo):
 
 
 def _cmd_exp_bounds(args, echo):
-    # the flags of exp bounds are named after the BoundParams fields, and
-    # building them checks --c for every --which
-    params = analysis.BoundParams(**{
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(analysis.BoundParams)
-    })
+    params = _from_flags(analysis.BoundParams, args)  # checks --c for every --which
     if not args.empirical:
         value = getattr(analysis, f"{args.which}_bound")(params)
         rows = [(0, f"{args.which}_bound", args.m, None, value)]

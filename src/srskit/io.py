@@ -139,19 +139,16 @@ def load_csv(path) -> np.ndarray:
 
     The file is parsed by ``np.loadtxt`` in line spans (``_line_spans``),
     the first here and each other in a forked child (``_load_spans``); a
-    small file is one span.  The array is the one-span parse's, bit for
-    bit: a split that fails is parsed again as one span, and bad content
-    falls back to the line loop (``_parse_rows``), which names the line.
+    small file is one span.  Any span that fails sends the whole file to
+    the line loop (``_parse_rows``), which reads a superset of what
+    ``loadtxt`` reads with the same bits, and names a bad line: a file is
+    parsed at most twice.
     """
-    edges = _line_spans(path)
-    D = _load_spans(path, edges)
-    if D is None and len(edges) > 2:
-        D = _load_spans(path, [0, edges[-1]])
-    if D is None:
-        # a bad line, or a field only float() reads (``1_0``)
-        with closing(_data_lines(path)) as numbered:
-            return _parse_rows(numbered)
-    return D
+    D = _load_spans(path, _line_spans(path))
+    if D is not None:
+        return D
+    with closing(_data_lines(path)) as numbered:
+        return _parse_rows(numbered)
 
 
 # The least bytes in a span when load_csv parses a matrix file in line

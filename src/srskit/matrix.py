@@ -79,6 +79,16 @@ def column_norms(X: np.ndarray, squares: np.ndarray | None = None) -> np.ndarray
     return norms
 
 
+def _real_array(values) -> np.ndarray:
+    """C-ordered float64 ``values``; ShapeError if complex, ragged or not numeric."""
+    if np.dtype(getattr(values, "dtype", float)).kind == "c":  # a cast drops .imag
+        raise ShapeError("expected a real matrix, got complex entries")
+    try:
+        return np.asarray(values, dtype=np.float64, order="C")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ShapeError(f"expected a real numeric matrix: {exc}") from None
+
+
 def checked_with_squares(values) -> tuple[np.ndarray, np.ndarray]:
     """``as_matrix(values)`` and its column sums of squares: one pass.
 
@@ -87,7 +97,7 @@ def checked_with_squares(values) -> tuple[np.ndarray, np.ndarray]:
     its memory layout.  A finite sum proves its column finite, so the
     entries are checked one by one only when a sum is not: an entry is
     not, or its square overflows (which passes)."""
-    arr = np.asarray(values, dtype=np.float64, order="C")
+    arr = _real_array(values)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -106,7 +116,7 @@ def fits_array(rows: int, cols: int = 1) -> bool:
 
 def as_matrix(values) -> np.ndarray:
     """Coerce ``values`` to a validated 2-D float64 matrix; ShapeError when
-    it is not 2-D, is empty or has a non-finite entry."""
+    it is not a real 2-D array, is empty or has a non-finite entry."""
     return checked_with_squares(values)[0]
 
 
@@ -118,10 +128,17 @@ class ClusterLabels:
     n_clusters: int
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1:
+        vals = None
+        try:  # real numbers or objects (not strings) whose int64 cast is exact
+            raw = np.asarray(self.values)
+            if raw.dtype.kind in "biufO":
+                with np.errstate(invalid="ignore"):  # NaN casts to no equal int
+                    vals = raw.astype(np.int64, copy=False)
+        except (TypeError, ValueError, OverflowError):  # ragged, or "a" in objects
+            pass
+        if vals is None or vals.ndim != 1 or not (vals == raw).all():
             raise ShapeError("labels must be a 1-D integer vector")
+        object.__setattr__(self, "values", vals)
         if self.n_clusters < 1:
             raise ShapeError("n_clusters must be >= 1")
         if not fits_array(self.n_clusters):  # an int64 count each
@@ -254,7 +271,8 @@ def approximation_error(D: np.ndarray, C: np.ndarray) -> float:
     a row-count mismatch.
     """
     D = in_range(*checked_with_squares(D))[0]  # scale-free: rescaled out of range
-    if np.ndim(C) == 2 and np.shape(C)[1] == 0:
+    C = _real_array(C)
+    if C.ndim == 2 and C.shape[1] == 0:
         raise EmptySketchError("sketch has no columns")
     C = in_range(*checked_with_squares(C))[0]  # the same span
     if C.shape[0] != D.shape[0]:

@@ -331,13 +331,8 @@ def srs_select_indices(
     return _picks(spatial_selector(X, n, with_replacement), lambda a, b: phi[a:b])
 
 
-def _sketch(M, idx, method, with_replacement):
-    return SketchResult(
-        indices=idx,
-        columns=M[:, idx],
-        method=method,
-        with_replacement=with_replacement,
-    )
+def _sketch(M, idx, method, with_repl):  # take: C order, so the check copies none
+    return SketchResult(idx, M.take(idx, axis=1), method, with_replacement=with_repl)
 
 
 def check_draws(n: int, n2: int, distinct: bool, name: str = "n") -> None:

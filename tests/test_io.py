@@ -416,6 +416,19 @@ def test_split_load_falls_back_when_a_child_fails(tmp_path, monkeypatch):
     assert no_child_left()
 
 
+def test_a_failed_split_goes_straight_to_the_line_loop(tmp_path, monkeypatch):
+    # it was parsed again as one span first: a bad file was parsed three times
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"1.5,2.0\n3.5,4.0\n5.5,6.0\n1.0,zap\n")
+    spans, load_spans = [], io._load_spans
+    monkeypatch.setattr(io, "_load_spans",
+                        lambda path, edges: spans.append(edges) or load_spans(path, edges))
+    with forced_split(2) as run, pytest.raises(ParseError, match="^line 4: "):
+        load_csv(path)
+    assert run.splits == [False] and len(spans) == 1
+    assert no_child_left()
+
+
 @pytest.mark.parametrize("head, tail", [
     # widths of their own; one field would broadcast over a row
     ("1.5,2.0\n", "1234567\n"),

@@ -132,7 +132,7 @@ def test_lloyd_backends_agree():
         rng.standard_normal((60, 3)) * 0.1 - 5.0,
     ])
     init = pts[[0, 50]].copy()
-    c_np, l_np, i_np, _ = _kernels.lloyd(pts, init, 50)
+    (c_np,), (l_np,), (i_np,), _ = _kernels.lloyd(pts, init[None], 50)
     c_or, l_or, i_or, _ = oracle_lloyd(pts, init, 50)
     assert np.allclose(c_np, c_or, atol=1e-10)
     assert (l_np == l_or).all()
@@ -142,7 +142,7 @@ def test_lloyd_backends_agree():
 def test_lloyd_k1_fixed_point():
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((30, 4))
-    centers, labels, inertia, _ = _kernels.lloyd(pts, pts[:1].copy(), 50)
+    (centers,), (labels,), (inertia,), _ = _kernels.lloyd(pts, pts[None, :1], 50)
     assert np.allclose(centers[0], pts.mean(axis=0), atol=1e-12)
     assert (labels == 0).all()
     assert inertia > 0
@@ -151,7 +151,7 @@ def test_lloyd_k1_fixed_point():
 def test_lloyd_empty_cluster_keeps_center():
     pts = np.array([[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]])
     init = np.array([[0.1, 0.0], [50.0, 50.0]])
-    centers, labels, _, _ = _kernels.lloyd(pts, init, 10)
+    (centers,), (labels,), _, _ = _kernels.lloyd(pts, init[None], 10)
     assert (labels == 0).all()
     assert np.allclose(centers[1], [50.0, 50.0])
 

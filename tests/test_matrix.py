@@ -13,6 +13,7 @@ from srskit import (
     approximation_error,
     as_matrix,
     column_norms_ok,
+    norm_sampling,
     normalize_columns,
     numerical_rank,
 )
@@ -34,6 +35,32 @@ def test_as_matrix_rejects_bad_shapes():
         as_matrix([[np.nan, 1.0]])
     with pytest.raises(ShapeError):
         as_matrix([[np.inf], [0.0]])
+
+
+def test_a_ragged_or_non_numeric_matrix_is_a_shape_error():
+    # numpy's conversion raised a bare ValueError before any check
+    ragged = [[1.0], [1.0, 2.0]]
+    for call in (lambda: as_matrix(ragged),
+                 lambda: approximation_error(np.eye(2), ragged),
+                 lambda: column_norms_ok("ab")):
+        with pytest.raises(ShapeError, match="real numeric matrix"):
+            call()
+
+
+def test_a_complex_matrix_is_a_shape_error():
+    # the cast to float64 dropped the imaginary parts, with a warning, and
+    # left two zero columns: ZeroMatrixError
+    with pytest.raises(ShapeError, match="complex"):
+        norm_sampling(1j * np.eye(2), 1, np.random.default_rng(0))
+
+
+def test_cluster_labels_reject_values_that_are_not_integers():
+    # the int64 cast truncated 0.5 and 1.7 to 0 and 1, and "a" ended in a
+    # bare ValueError
+    for values in (np.array([0.5, 1.7]), ["a"], [np.nan, 0.0], [[0, 1]]):
+        with pytest.raises(ShapeError, match="1-D integer vector"):
+            ClusterLabels(values, 2)
+    assert ClusterLabels([1.0, 0.0], 2).values.tolist() == [1, 0]
 
 
 def test_cluster_labels_counts():

@@ -6,6 +6,8 @@ import importlib.util
 import types
 from pathlib import Path
 
+import pytest
+
 import srskit
 
 
@@ -225,3 +227,14 @@ def test_each_svg_element_kind_has_one_writer():
         assert len(lines) == 1
         found = {name: string_lines(tree, part) for name, tree in TREES.items()}
         assert {name: at for name, at in found.items() if at} == {"plots": lines}
+
+
+def test_the_version_has_one_home():
+    # pyproject.toml reads the version from srskit.__version__
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(path.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert "version" in config["project"]["dynamic"]
+    version = config["tool"]["setuptools"]["dynamic"]["version"]
+    assert version == {"attr": "srskit.__version__"}

@@ -153,6 +153,38 @@ def test_ris_with_replacement_can_repeat():
     assert np.unique(r.indices).size <= 2
 
 
+def test_ris_with_replacement_draws_every_column_alike():
+    D = np.random.default_rng(0).standard_normal((3, 50))
+    idx = ris(D, 20_000, True, np.random.default_rng(6)).indices
+    assert chi_square_fits(np.bincount(idx, minlength=50), np.full(50, 1 / 50))
+
+
+def test_ris_includes_every_column_alike():
+    # T draws of n distinct of N2 columns: a column's inclusion count has
+    # mean T p and variance T p (1 - p), p = n / N2, and the counts sum to
+    # T n, so sum (c - T p)^2 / (T p (1 - p)) (N2 - 1) / N2 is about
+    # chi^2 with N2 - 1 degrees of freedom
+    T, n, n2 = 4000, 10, 40
+    D = np.random.default_rng(0).standard_normal((3, n2))
+    rng = np.random.default_rng(7)
+    counts = np.zeros(n2)
+    for _ in range(T):
+        counts[ris(D, n, False, rng).indices] += 1
+    p = n / n2
+    stat = ((counts - T * p) ** 2).sum() / (T * p * (1 - p)) * (n2 - 1) / n2
+    assert stat < chi2.isf(1e-6, n2 - 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_sketch_columns_are_c_ordered(method):
+    # gathered by take, not by fancy indexing (Fortran order), so the
+    # matrix check that reads them next copies none
+    X = unit(np.random.default_rng(5).standard_normal((4, 30)))
+    result = sample_columns(X, SamplerSpec(method, 3, seed=1))
+    assert result.columns.flags.c_contiguous
+    assert np.array_equal(result.columns, X[:, result.indices])
+
+
 def test_norm_sampling_squared_frequencies():
     D = np.array([[1.0, 0.0], [0.0, 2.0]])
     r = norm_sampling(D, 5000, np.random.default_rng(0))
